@@ -155,21 +155,6 @@ let all ~quick =
           (fun () -> ignore (Chain_dp.solve problem)))
       [ 50; 200; 800; 3200 ]
   in
-  (* The monotone divide-and-conquer solver on the same generator
-     (whose cost ranges always satisfy the monotonicity precheck, so no
-     silent O(n^2) fallback: the dp.transitions snapshot in the bench
-     JSON is the committed evidence of the ~n log n transition curve,
-     and `ckpt-bench check` requires that metric). *)
-  let dp_dc_scaling =
-    List.map
-      (fun n ->
-        let problem = chain_problem n in
-        macro
-          (Printf.sprintf "chain-dp-dc-%d" n)
-          [ "dp"; "dc"; "scaling" ]
-          (fun () -> ignore (Chain_dp.solve_dc problem)))
-      [ 800; 3200; 12800 ]
-  in
   (* The SMAWK solver on the same generator (which always satisfies the
      monotonicity precheck, so dp.smawk_fallbacks stays 0 in the
      committed snapshot): near-linear transition counts are the point,
@@ -199,11 +184,16 @@ let all ~quick =
   (* The complexity gate for the SMAWK claim, in the scenario-monitor
      style (failwith is a bench crash, not a silent timing): per-task
      transition counts must stay flat across a 16x size span, and at
-     12800 tasks SMAWK must spend strictly fewer transitions than the
-     divide-and-conquer solver on the identical instance. Counter
-     deltas are read from snapshots without Metrics.reset, so the
-     run-wide totals in the committed bench JSON stay intact. *)
+     12800 tasks SMAWK must spend strictly fewer transitions than
+     [dc_transitions_12800]. Counter deltas are read from snapshots
+     without Metrics.reset, so the run-wide totals in the committed
+     bench JSON stay intact. *)
   let dp_smawk_linearity =
+    (* The transitions an O(n log n) monotone divide and conquer (the
+       solver SMAWK replaced) spends on chain_problem 12800: a fixed
+       count, since the instance and the recursion are deterministic.
+       SMAWK spends about half of it (332 034). *)
+    let dc_transitions_12800 = 687_561 in
     let counter name =
       match Metrics.find (Metrics.snapshot ()) name with
       | Some (_, Metrics.Counter c) -> c
@@ -248,14 +238,12 @@ let all ~quick =
             delta "dp.smawk_transitions" (fun () ->
                 ignore (Chain_dp.solve_smawk problem))
           in
-          let dc_t =
-            delta "dp.transitions" (fun () -> ignore (Chain_dp.solve_dc problem))
-          in
-          if smawk_t >= dc_t then
+          if smawk_t >= dc_transitions_12800 then
             failwith
               (Printf.sprintf
-                 "smawk spent %d transitions at n=12800 but divide-and-conquer only %d"
-                 smawk_t dc_t));
+                 "smawk spent %d transitions at n=12800, not below the \
+                  divide-and-conquer pin %d"
+                 smawk_t dc_transitions_12800));
     ]
   in
   let dp_other =
@@ -427,6 +415,6 @@ let all ~quick =
           Metrics.set serve_p99_ms latencies_ms.(idx));
     ]
   in
-  kernels @ dp_scaling @ dp_dc_scaling @ dp_smawk_scaling @ dp_smawk_million
+  kernels @ dp_scaling @ dp_smawk_scaling @ dp_smawk_million
   @ dp_smawk_linearity @ dp_other @ dist @ sim_throughput
   @ scenario_smoke @ scenario_coverage @ mc_pool @ serve_cases

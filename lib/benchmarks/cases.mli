@@ -4,12 +4,11 @@
     timing varies.
 
     Tags (used by [ckpt-bench run --tag]): [kernel] (closed forms and
-    other micro-kernels), [dp] (chain/partition dynamic programs), [dc]
-    (the monotone divide-and-conquer chain solver at
-    n ∈ {800, 3200, 12800}), [scaling] (the chain DP at
-    n ∈ {50, 200, 800, 3200}, exposing the O(n²) curve, the
-    divide-and-conquer cases, and the Monte-Carlo pool at 1/2/4/8
-    domains), [sim] (simulator throughput), [mc] (Monte-Carlo pool),
+    other micro-kernels), [dp] (chain/partition dynamic programs),
+    [smawk] (the SMAWK chain solver at n ∈ {3200, 12800, 10⁶} and its
+    linearity gate), [scaling] (the chain DP at
+    n ∈ {50, 200, 800, 3200}, exposing the O(n²) curve, the SMAWK
+    cases, and the Monte-Carlo pool at 1/2/4/8 domains), [sim] (simulator throughput), [mc] (Monte-Carlo pool),
     [dist] (distribution kernels). *)
 
 type kind =

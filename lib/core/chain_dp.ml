@@ -2,17 +2,14 @@ type solution = { expected_makespan : float; schedule : Schedule.t }
 
 module Metrics = Ckpt_obs.Metrics
 module T = Dp_tables
-module Domain_team = Ckpt_sim.Domain_team
 
 (* Solver metrics: totals are deterministic for a given problem (and,
    under the parallel Monte-Carlo pool, for a given seed) whatever the
-   domain count — integer counters merge commutatively. The parallel
-   sweeps keep that true by counting on the master domain only. *)
+   domain count — integer counters merge commutatively. *)
 let m_memo_hits = Metrics.counter "dp.memo_hits"
 let m_memo_misses = Metrics.counter "dp.memo_misses"
 let m_states = Metrics.counter "dp.states_expanded"
 let m_transitions = Metrics.counter "dp.transitions"
-let m_dc_fallbacks = Metrics.counter "dp.dc_fallbacks"
 let m_smawk_states = Metrics.counter "dp.smawk_states"
 let m_smawk_transitions = Metrics.counter "dp.smawk_transitions"
 let m_smawk_fallbacks = Metrics.counter "dp.smawk_fallbacks"
@@ -37,16 +34,16 @@ let schedule_of_choice_fn problem choice =
 let schedule_of_choices problem choices =
   schedule_of_choice_fn problem (Array.get choices)
 
-let solve problem =
+(* The exhaustive O(n²) sweep behind `solve` and `dp_values`.
+   value.(x) = optimal expected time for the suffix x..n-1; choice.(x) =
+   index of the last task of its first segment (leftmost argmin). Both
+   live in flat Bigarray SoA tables (Dp_tables) so million-task solves
+   stay off the OCaml heap; the transition cost goes through the
+   precomputed Segment_cost tables, and bounds are established by the
+   loop structure, so the inner loop carries no per-call validation. *)
+let sweep problem =
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
-  (* value.(x) = optimal expected time for the suffix x..n-1;
-     choice.(x) = index of the last task of its first segment. Both
-     live in flat Bigarray SoA tables (Dp_tables) so million-task
-     solves stay off the OCaml heap; the transition cost goes through
-     the precomputed Segment_cost tables, and bounds are established
-     by the loop structure, so the inner loop carries no per-call
-     validation. *)
   let value = T.floats (n + 1) in
   let choice = T.ints n in
   for x = n - 1 downto 0 do
@@ -65,6 +62,10 @@ let solve problem =
     T.fset value x !best;
     T.iset choice x !best_j
   done;
+  (value, choice)
+
+let solve problem =
+  let value, choice = sweep problem in
   {
     expected_makespan = T.fget value 0;
     schedule = schedule_of_choice_fn problem (T.iget choice);
@@ -119,220 +120,7 @@ let solve_memoized problem =
   let choice = Array.init n (fun x -> snd (dpmakespan x)) in
   { expected_makespan; schedule = schedule_of_choices problem choice }
 
-let dp_values problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let value = T.floats (n + 1) in
-  for x = n - 1 downto 0 do
-    Metrics.incr m_states;
-    Metrics.incr ~by:(n - x) m_transitions;
-    let best = ref infinity in
-    for j = x to n - 1 do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then best := cur
-    done;
-    T.fset value x !best
-  done;
-  T.to_float_array value
-
-let solve_bounded problem ~max_segment =
-  if max_segment < 1 then invalid_arg "Chain_dp.solve_bounded: max_segment must be >= 1";
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let value = T.floats (n + 1) in
-  let choice = T.ints n in
-  for x = n - 1 downto 0 do
-    Metrics.incr m_states;
-    let best = ref infinity and best_j = ref x in
-    let last = Stdlib.min (n - 1) (x + max_segment - 1) in
-    Metrics.incr ~by:(last - x + 1) m_transitions;
-    for j = x to last do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then begin
-        best := cur;
-        best_j := j
-      end
-    done;
-    T.fset value x !best;
-    T.iset choice x !best_j
-  done;
-  {
-    expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
-  }
-
-(* --- Domain-parallel exhaustive sweep -------------------------------- *)
-
-(* Fixed decision-chunk grid: chunk k covers columns
-   [k·par_chunk, (k+1)·par_chunk − 1] ∩ [x, n−1]. Boundaries are
-   absolute (independent of the domain count and of which domain claims
-   which chunk), so the ordered merge below is a pure function of the
-   problem — the same bit-identity discipline as Parallel_exec's batch
-   grid. *)
-let par_chunk = 4096
-
-let solve_par ?domains problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let domains =
-    match domains with Some d -> d | None -> Domain_team.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Chain_dp.solve_par: domains must be >= 1";
-  let value = T.floats (n + 1) in
-  let choice = T.ints n in
-  (* Leftmost strict-< scan of row x over decisions [jlo, jhi]: the
-     exact comparison sequence `solve` runs on that range. *)
-  let scan_row x jlo jhi =
-    let best = ref infinity and best_j = ref jlo in
-    for j = jlo to jhi do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then begin
-        best := cur;
-        best_j := j
-      end
-    done;
-    (!best, !best_j)
-  in
-  let finish x (best, best_j) =
-    Metrics.incr m_states;
-    Metrics.incr ~by:(n - x) m_transitions;
-    T.fset value x best;
-    T.iset choice x best_j
-  in
-  if domains = 1 || n < 2 * par_chunk then
-    (* Purely sequential path — identical to `solve`. *)
-    for x = n - 1 downto 0 do
-      finish x (scan_row x x (n - 1))
-    done
-  else begin
-    let n_chunks = (n + par_chunk - 1) / par_chunk in
-    let slot_val = Array.make n_chunks infinity in
-    let slot_arg = Array.make n_chunks 0 in
-    Domain_team.with_team ~domains (fun team ->
-        for x = n - 1 downto 0 do
-          if n - x < 2 * par_chunk then finish x (scan_row x x (n - 1))
-          else begin
-            let c0 = x / par_chunk in
-            let tasks = n_chunks - c0 in
-            (* Each task owns slot i; the team claims indices through an
-               atomic cursor but writes stay disjoint. *)
-            Domain_team.run team ~tasks (fun i ->
-                let c = c0 + i in
-                let jlo = Stdlib.max x (c * par_chunk) in
-                let jhi = Stdlib.min (n - 1) (((c + 1) * par_chunk) - 1) in
-                let v, j = scan_row x jlo jhi in
-                slot_val.(i) <- v;
-                slot_arg.(i) <- j);
-            (* Merge in chunk order with strict <: the first chunk
-               attaining the global minimum wins, which is exactly the
-               leftmost argmin of the full left-to-right scan. *)
-            let best = ref infinity and best_j = ref x in
-            for i = 0 to tasks - 1 do
-              if slot_val.(i) < !best then begin
-                best := slot_val.(i);
-                best_j := slot_arg.(i)
-              end
-            done;
-            finish x (!best, !best_j)
-          end
-        done)
-  end;
-  {
-    expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
-  }
-
-(* --- Monotone divide-and-conquer solver ----------------------------- *)
-
-(* The transition cost decomposes as c(x, j) = a(x)·E(j) − pre(x)
-   (Segment_cost.supports_monotone_dc); when a is non-increasing and E
-   non-decreasing the matrix f(x, j) = c(x, j) + V(j+1) is
-   inverse-Monge, so the smallest optimal first-checkpoint index is
-   non-decreasing in the suffix start x. solve_dc exploits that with a
-   divide and conquer over the states: solve the right half of an
-   interval, account the right half's decisions for the left half's
-   states with an offline monotone row-minima divide and conquer, then
-   recurse left — O(n log² n) transition evaluations worst case
-   (~n log n over the benchmarked range) instead of O(n²), every one of
-   them through the same Segment_cost tables as `solve` so the two
-   agree to float rounding. *)
-let solve_dc ?(verify = true) problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  if verify && not (Segment_cost.supports_monotone_dc kernel) then begin
-    (* Monotonicity check failed (cost spike larger than a task weight,
-       or the kernel is in overflow-reference mode): the divide and
-       conquer would prune decisions it may not prune, so fall back to
-       the exhaustive O(n²) solver. *)
-    Metrics.incr m_dc_fallbacks;
-    solve problem
-  end
-  else begin
-    (* value.(x) is final for x >= the right edge of the interval being
-       solved; best/choice accumulate the minima over every decision
-       range already combined into state x. *)
-    let value = T.floats (n + 1) in
-    let best = T.floats ~init:infinity n in
-    let choice = T.ints n in
-    let cost x j =
-      Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-    in
-    (* Row minima of f over states xlo..xhi and decisions jlo..jhi
-       (xhi <= jlo required, so value.(j+1) is final throughout):
-       evaluate the middle state's restricted range, split the decision
-       range at its argmin. Ties keep the smallest j, matching `solve`'s
-       scan order, so the smallest-argmin monotonicity applies. *)
-    let rec combine xlo xhi jlo jhi =
-      if xlo <= xhi then begin
-        let xm = (xlo + xhi) / 2 in
-        Metrics.incr ~by:(jhi - jlo + 1) m_transitions;
-        let best_c = ref (cost xm jlo) and best_j = ref jlo in
-        for j = jlo + 1 to jhi do
-          let cur = cost xm j in
-          if cur < !best_c then begin
-            best_c := cur;
-            best_j := j
-          end
-        done;
-        if !best_c < T.fget best xm then begin
-          T.fset best xm !best_c;
-          T.iset choice xm !best_j
-        end;
-        combine xlo (xm - 1) jlo !best_j;
-        combine (xm + 1) xhi !best_j jhi
-      end
-    in
-    (* Invariant: value is final on r+1..n when rec_solve l r runs. *)
-    let rec rec_solve l r =
-      if l = r then begin
-        Metrics.incr m_states;
-        Metrics.incr m_transitions;
-        let own = cost l l in
-        if own < T.fget best l then begin
-          T.fset best l own;
-          T.iset choice l l
-        end;
-        T.fset value l (T.fget best l)
-      end
-      else begin
-        let m = (l + r) / 2 in
-        rec_solve (m + 1) r;
-        combine l m m r;
-        rec_solve l m
-      end
-    in
-    rec_solve 0 (n - 1);
-    {
-      expected_makespan = T.fget value 0;
-      schedule = schedule_of_choice_fn problem (T.iget choice);
-    }
-  end
+let dp_values problem = T.to_float_array (fst (sweep problem))
 
 (* --- SMAWK linear-transition solver --------------------------------- *)
 
@@ -406,25 +194,25 @@ let rec smawk ~eval ~loc_val ~loc_arg rows cols =
    plain SMAWK cannot handle; blocks of [block] states processed right
    to left restore an offline shape: one far combine over the block's
    rows × the decision window [u+1, hi] (all values final), then an
-   intra-block divide and conquer mirroring solve_dc's but with SMAWK
-   row minima. After a block, the window shrinks to hi = choice.(l) —
+   intra-block divide and conquer (right half first, then the right
+   half's decisions for the left half's states) with SMAWK row
+   minima. After a block, the window shrinks to hi = choice.(l) —
    exact, because leftmost argmins are non-decreasing in x under the
    certificate. Total evaluations: O(n log block + Σ window spans),
    linear in n for the checkpoint instances (optimal segment lengths
    grow like √n, so windows stay narrow — the bench linearity gate
    pins this). *)
-let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
-  if block < 2 then invalid_arg "Chain_dp.solve_smawk: block must be >= 2";
+let block = 256
+
+let solve_smawk problem =
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
-  if verify && not (Segment_cost.supports_monotone_dc kernel) then begin
-    (* Same certificate as solve_dc: without total monotonicity SMAWK's
-       pruning is unsound, so fall back to the exhaustive sweep —
-       domain-parallel when a team is requested. *)
+  if not (Segment_cost.supports_monotone_dc kernel) then begin
+    (* Without the total-monotonicity certificate (a cost spike larger
+       than a task weight, or the kernel in overflow-reference mode)
+       SMAWK's pruning is unsound: fall back to the exhaustive sweep. *)
     Metrics.incr m_smawk_fallbacks;
-    match domains with
-    | Some d when d > 1 -> solve_par ~domains:d problem
-    | _ -> solve problem
+    solve problem
   end
   else begin
     let value = T.floats (n + 1) in
@@ -443,7 +231,7 @@ let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
        rule (strictly better, or equal with a smaller index) makes the
        final choice the globally leftmost argmin whatever order the
        combines ran in — `solve`'s single left-to-right scan semantics,
-       and one rule solve_dc's plain `<` fold does not guarantee. *)
+       which a plain `<` fold would not guarantee. *)
     let fold_row r v j =
       let bv = T.fget best r in
       if v < bv || (Float.equal v bv && j < T.iget choice r) then begin
@@ -551,8 +339,3 @@ let budget_curve problem =
   let n = Chain_problem.size problem in
   let value, _, width = budget_tables problem n in
   List.init n (fun i -> (i + 1, T.fget value ((i + 1) * width)))
-
-let first_segment_end problem =
-  match Schedule.checkpoint_indices (solve problem).schedule with
-  | first :: _ -> first
-  | [] -> assert false

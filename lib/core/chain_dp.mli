@@ -1,21 +1,19 @@
 (** Algorithm 1 of the paper: the O(n²) dynamic program computing the
     optimal checkpoint placement for a linear chain (Proposition 3),
-    plus an O(n log² n)-transition divide-and-conquer solver and a
-    linear-transition SMAWK solver for the (generic) monotone-decision
-    case, and a domain-parallel exhaustive sweep for the rest.
+    and its one front door for large chains, a linear-transition SMAWK
+    solver for the (generic) monotone-decision case.
 
-    Equivalent implementations are provided and cross-checked in the
+    Three implementations of the same optimum are cross-checked in the
     test suite: a faithful transcription of the paper's memoized
     recursion (kept on the reference per-call [exp]/[expm1] evaluation,
-    the correctness oracle), a bottom-up iteration, the monotone divide
-    and conquer, the blocked SMAWK solver, and the parallel sweep. The
-    bottom-up solvers evaluate transition costs through the chain's
-    precomputed {!Segment_cost} kernel — multiplications only on the
-    hot path — keep their DP tables in flat off-heap {!Dp_tables}
-    structure-of-arrays storage (million-task tables never touch the
-    GC), and run in O(n) space thanks to prefix sums of the task
-    weights. See docs/KERNELS.md for the layout and the determinism
-    contracts. *)
+    the correctness oracle), the bottom-up O(n²) sweep, and the blocked
+    SMAWK solver. The bottom-up solvers evaluate transition costs
+    through the chain's precomputed {!Segment_cost} kernel —
+    multiplications only on the hot path — keep their DP tables in flat
+    off-heap {!Dp_tables} structure-of-arrays storage (million-task
+    tables never touch the GC), and run in O(n) space thanks to prefix
+    sums of the task weights. See docs/KERNELS.md for the layout and
+    the determinism contracts. *)
 
 type solution = {
   expected_makespan : float;  (** Optimal expectation E(1, n). *)
@@ -23,8 +21,8 @@ type solution = {
 }
 
 val solve : Chain_problem.t -> solution
-(** Bottom-up dynamic program (the fast O(n²) path; O(1) kernel-backed
-    transitions). *)
+(** Bottom-up dynamic program: the O(n²) reference sweep (O(1)
+    kernel-backed transitions, leftmost argmin on ties). *)
 
 val solve_memoized : Chain_problem.t -> solution
 (** Faithful transcription of the paper's Algorithm 1 (recursive,
@@ -32,73 +30,32 @@ val solve_memoized : Chain_problem.t -> solution
     same solution as {!solve} (to the kernel's 1e-9 relative
     tolerance). *)
 
-val solve_dc : ?verify:bool -> Chain_problem.t -> solution
-(** Divide-and-conquer solver exploiting decision monotonicity: when
-    the segment-cost matrix is inverse-Monge
-    ({!Segment_cost.supports_monotone_dc} — always for uniform-cost
-    chains, and whenever no checkpoint/recovery cost jumps by more than
-    a task weight), the optimal first-checkpoint index is monotone in
-    the suffix start, and the optimum is found in O(n log² n) transition
-    evaluations instead of O(n²). Agrees with {!solve} on the expected
-    makespan to float rounding (same kernel-backed costs, same
-    smallest-index tie-breaking).
-
-    [verify] (default [true]) runs the O(n) monotonicity verification
-    first and {e falls back automatically} to the O(n²) {!solve} when it
-    fails — the fallback is counted by the [dp.dc_fallbacks] metric, and
-    also triggers when the kernel is in overflow-reference mode.
-    [~verify:false] skips the check and forces the divide and conquer;
-    the result is then only optimal if the instance really is monotone
-    (benchmark/diagnostic use). *)
-
-val solve_smawk : ?verify:bool -> ?domains:int -> ?block:int -> Chain_problem.t -> solution
-(** Linear-transition solver: SMAWK row minima over the inverse-Monge
-    transition matrix, applied to blocks of [block] (default 256)
-    states processed right to left with a window that shrinks to the
-    leftmost argmin of each finished block. O(n·log block + Σ window
-    spans) transition evaluations — linear in n on checkpoint
-    instances, where optimal segment lengths grow like √n (the bench
-    suite gates the measured [dp.smawk_transitions] growth). Work is
-    counted by the [dp.smawk_states]/[dp.smawk_transitions] metrics (in
-    addition to the shared [dp.*] ones).
+val solve_smawk : Chain_problem.t -> solution
+(** The front door for chains of any size. Linear-transition solver:
+    SMAWK row minima over the inverse-Monge transition matrix, applied
+    to blocks of 256 states processed right to left with a window that
+    shrinks to the leftmost argmin of each finished block. O(n·log 256
+    + Σ window spans) transition evaluations — linear in n on
+    checkpoint instances, where optimal segment lengths grow like √n
+    (the bench suite gates the measured [dp.smawk_transitions] growth).
+    Work is counted by the [dp.smawk_states]/[dp.smawk_transitions]
+    metrics (in addition to the shared [dp.*] ones).
 
     Agreement contract: identical transition expressions and a
     leftmost-on-ties fold make the result {e bit-for-bit} equal to
     {!solve} — expected makespan and schedule — whenever the
     {!Segment_cost.supports_monotone_dc} certificate holds (the test
-    suite cross-checks this, including exact ties).
-
-    [verify] (default [true]) behaves like {!solve_dc}'s: when the
-    certificate fails, the solver counts a [dp.smawk_fallbacks] and
-    falls back to the exhaustive sweep — {!solve_par} with [domains]
-    when [domains > 1] is given, plain {!solve} otherwise. Raises
-    [Invalid_argument] if [block < 2]. *)
-
-val solve_par : ?domains:int -> Chain_problem.t -> solution
-(** The exhaustive O(n²) sweep, domain-parallel: each DP row's decision
-    range is cut on a fixed absolute chunk grid, chunks are claimed by
-    a persistent worker team and write disjoint slots, and the master
-    merges them in chunk order — so the result is {e bit-identical} to
-    {!solve} for any [domains] (default
-    [Domain_team.default_domains ()]). Metrics are counted by the
-    master only and equal {!solve}'s. Intended as the non-Monge
-    fallback path for large chains; short rows (and [domains = 1]) run
-    the sequential scan directly. Raises [Invalid_argument] if
-    [domains < 1]. *)
+    suite cross-checks this, including exact ties and sizes straddling
+    block edges). When the certificate fails (or the kernel is in
+    overflow-reference mode), the solver counts a [dp.smawk_fallbacks]
+    and returns {!solve}'s answer, so the contract holds on every
+    instance. *)
 
 val dp_values : Chain_problem.t -> float array
 (** [dp_values problem] is the table E of optimal expected times for
     the suffixes: element x is the optimal expectation for executing
-    tasks x..n-1 (element n is 0). Exposed for tests and analysis. *)
-
-val solve_bounded : Chain_problem.t -> max_segment:int -> solution
-(** Optimal placement among those whose segments contain at most
-    [max_segment] tasks, in O(n·max_segment) time — the scalable path
-    for very long chains (n in the 10^5 range, where the O(n²) DP is
-    impractical). Equals {!solve} whenever [max_segment] is at least the
-    longest segment of an optimal schedule — in particular whenever
-    [max_segment >= n]. Raises [Invalid_argument] if
-    [max_segment < 1]. *)
+    tasks x..n-1 (element n is 0). Exposed for tests and analysis;
+    computed by {!solve}'s sweep. *)
 
 val solve_with_budget : Chain_problem.t -> checkpoints:int -> solution
 (** Optimal placement using {e exactly} [checkpoints] checkpoints
@@ -110,8 +67,3 @@ val solve_with_budget : Chain_problem.t -> checkpoints:int -> solution
 val budget_curve : Chain_problem.t -> (int * float) list
 (** [(k, optimal expectation with exactly k checkpoints)] for
     k = 1 .. n; its minimum is {!solve}'s value. *)
-
-val first_segment_end : Chain_problem.t -> int
-(** The paper's [numTask] output at the outermost recursion level: the
-    0-based index of the task after which the first checkpoint is taken
-    in an optimal schedule. *)

@@ -103,8 +103,9 @@ val overflow_cutoff : float
     (currently 690, safely below [log max_float] ≈ 709.78). *)
 
 val supports_monotone_dc : t -> bool
-(** Whether the divide-and-conquer chain solver may be used on this
-    kernel. The transition cost decomposes as
+(** Whether the monotone-decision chain solver
+    ([Chain_dp.solve_smawk]'s SMAWK path) may be used on this kernel.
+    The transition cost decomposes as
     [c(x, j) = a(x)·E(j) − pre.(x)] with
     [a(x) = pre.(x)·e^(−λ·prefix(x))] and
     [E(j) = e^(λ·(prefix(j+1) + C_j))]; when [a] is non-increasing and

@@ -1,9 +1,9 @@
-(* Persistent team of worker domains for deterministic data-parallel
-   sweeps (see the mli for the determinism contract). The team exists so
-   DP solvers that launch many short parallel rounds per solve — one per
-   DP row, say — pay Domain.spawn once per team, not once per round:
-   workers park on a condition variable between rounds and are woken by
-   a generation bump. *)
+(* Persistent team of worker domains: the compute pool behind
+   Parallel_exec's Monte-Carlo campaigns and Moldable_chain's parallel
+   sweeps (see the mli for the determinism contract). Workers are
+   spawned once per team, park on a condition variable between rounds
+   and are woken by a generation bump, so a solver that launches many
+   short rounds pays Domain.spawn once, not once per round. *)
 
 type t = {
   domains : int;  (* total participants, including the calling domain *)
@@ -13,7 +13,7 @@ type t = {
   round_done : Condition.t;  (* master parks here while workers drain *)
   mutable generation : int;  (* bumped per round; workers key off it *)
   mutable live : bool;
-  mutable job : (int -> unit) option;
+  mutable job : (participant:int -> int -> unit) option;
   mutable tasks : int;
   next : int Atomic.t;  (* task claim cursor for the current round *)
   cancelled : bool Atomic.t;  (* a task raised: stop claiming *)
@@ -27,13 +27,13 @@ let size t = t.domains
 (* Claim-execute loop shared by master and workers. The claim order is
    racy by design; determinism comes from tasks writing disjoint state
    (the contract in the mli), never from claim order. *)
-let claim_loop t fn tasks =
+let claim_loop t ~participant fn tasks =
   let continue = ref true in
   while !continue do
     let i = Atomic.fetch_and_add t.next 1 in
     if i >= tasks || Atomic.get t.cancelled then continue := false
     else
-      match fn i with
+      match fn ~participant i with
       | () -> ()
       | exception e ->
           Atomic.set t.cancelled true;
@@ -43,7 +43,7 @@ let claim_loop t fn tasks =
           continue := false
   done
 
-let rec worker_loop t last_gen =
+let rec worker_loop t ~participant last_gen =
   Mutex.lock t.mutex;
   while t.live && t.generation = last_gen do
     Condition.wait t.wake t.mutex
@@ -54,12 +54,23 @@ let rec worker_loop t last_gen =
   let tasks = t.tasks in
   Mutex.unlock t.mutex;
   if live then begin
-    (match job with Some fn -> claim_loop t fn tasks | None -> ());
+    (match job with Some fn -> claim_loop t ~participant fn tasks | None -> ());
     Mutex.lock t.mutex;
     t.finished <- t.finished + 1;
     if t.finished = Array.length t.workers then Condition.broadcast t.round_done;
     Mutex.unlock t.mutex;
-    worker_loop t gen
+    worker_loop t ~participant gen
+  end
+
+let shutdown t =
+  Mutex.lock t.mutex;
+  let was_live = t.live in
+  t.live <- false;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
+  if was_live then begin
+    Array.iter Domain.join t.workers;
+    t.workers <- [||]
   end
 
 let create ?domains () =
@@ -82,7 +93,18 @@ let create ?domains () =
       finished = 0;
     }
   in
-  t.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
+  (* A failed spawn (the runtime caps the number of live domains) must
+     not strand the workers already spawned: park-forever domains would
+     hold their slots and break every later team in the process. *)
+  (try
+     for participant = 1 to domains - 1 do
+       let d = Domain.spawn (fun () -> worker_loop t ~participant 0) in
+       t.workers <- Array.append t.workers [| d |]
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
 
 let run t ~tasks fn =
@@ -104,7 +126,7 @@ let run t ~tasks fn =
     Mutex.unlock t.mutex;
     (* The master participates: with domains = 1 this is the whole
        round and the code path is purely sequential. *)
-    claim_loop t fn tasks;
+    claim_loop t ~participant:0 fn tasks;
     Mutex.lock t.mutex;
     while t.finished < Array.length t.workers do
       Condition.wait t.round_done t.mutex
@@ -113,17 +135,6 @@ let run t ~tasks fn =
     let failure = t.failure in
     Mutex.unlock t.mutex;
     match failure with None -> () | Some e -> raise e
-  end
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  let was_live = t.live in
-  t.live <- false;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex;
-  if was_live then begin
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
   end
 
 let with_team ?domains fn =

@@ -1,13 +1,13 @@
-(** Persistent worker-domain team for deterministic data-parallel
-    sweeps.
+(** Persistent worker-domain team: the one compute pool for
+    deterministic data-parallel work.
 
-    {!Parallel_exec} spawns a fresh set of domains per Monte-Carlo run;
-    that is the right shape for one long round, but DP solvers launch
-    {e many short rounds per solve} (one per DP row or anti-diagonal),
-    where per-round [Domain.spawn] would dominate. A team spawns its
-    workers once; between rounds they park on a condition variable and
-    are woken by a generation bump, so a round costs two mutex
-    handshakes rather than thread creation.
+    {!Parallel_exec} runs each Monte-Carlo campaign (every round of an
+    adaptive one) on one team, one task per batch; DP solvers
+    ([Ckpt_core.Moldable_chain]) launch {e many short rounds per
+    solve}, one per DP row, where per-round [Domain.spawn] would
+    dominate. A team spawns its workers once; between rounds they park
+    on a condition variable and are woken by a generation bump, so a
+    round costs two mutex handshakes rather than thread creation.
 
     {1 Determinism contract}
 
@@ -32,21 +32,25 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ?domains ()] spawns [domains − 1] worker domains (the
     caller is the remaining participant). Default:
-    [min 8 (Domain.recommended_domain_count ())], like
-    {!Parallel_exec}. [domains = 1] creates a team with no workers
+    {!default_domains}. [domains = 1] creates a team with no workers
     whose [run] is purely sequential. Raises [Invalid_argument] if
-    [domains < 1]. *)
+    [domains < 1]. If a spawn fails (the runtime caps live domains),
+    the workers already spawned are shut down and joined before the
+    exception is re-raised, so a failed [create] leaks no domain. *)
 
 val size : t -> int
 (** Total participants including the calling domain. *)
 
-val run : t -> tasks:int -> (int -> unit) -> unit
-(** [run t ~tasks fn] executes [fn i] once for every [i] in
-    [0..tasks-1], work-stealing across the team; the calling domain
-    participates. Returns when every task has run. If a task raises,
-    remaining unclaimed tasks are abandoned (already-claimed ones
-    finish), and the first exception recorded is re-raised here after
-    the round drains — the team stays usable. Rounds do not overlap:
+val run : t -> tasks:int -> (participant:int -> int -> unit) -> unit
+(** [run t ~tasks fn] executes [fn ~participant i] once for every [i]
+    in [0..tasks-1], work-stealing across the team; the calling domain
+    participates. [participant] names the domain running the task: 0
+    for the caller, [1..size t - 1] for the workers, fixed for the
+    team's lifetime — so per-domain state (telemetry probes, busy
+    time) can live in a slot per participant. Returns when every task
+    has run. If a task raises, remaining unclaimed tasks are abandoned
+    (already-claimed ones finish), and the first exception recorded is
+    re-raised here after the round drains — the team stays usable. Rounds do not overlap:
     [run] is not reentrant and must always be called from the same
     (owning) domain. Raises [Invalid_argument] after {!shutdown}. *)
 
@@ -59,4 +63,5 @@ val with_team : ?domains:int -> (t -> 'a) -> 'a
     {!shutdown} on all exits. *)
 
 val default_domains : unit -> int
-(** The default team size ([min 8 (Domain.recommended_domain_count ())]). *)
+(** The default team size ([min 8 (Domain.recommended_domain_count ())]),
+    also {!Parallel_exec}'s when [?domains] is omitted. *)

@@ -5,7 +5,7 @@
     common optional knobs:
 
     - [?domains] — pool size (default
-      {!Parallel_exec.default_domains}). Estimates are {e bit-identical}
+      {!Domain_team.default_domains}). Estimates are {e bit-identical}
       for any domain count given the same seed: run [r] draws from the
       substream ["run-r"] of the caller's [rng] seed regardless of which
       domain executes it, and the reduction tree is fixed by the batch

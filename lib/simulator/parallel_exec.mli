@@ -2,12 +2,13 @@
     campaigns (OCaml 5 domains).
 
     A campaign of [runs] replications is partitioned into fixed-size
-    batches on an absolute run-index grid. A pool of domains claims
-    batches from a shared queue; run [r] draws its randomness from
-    {!Ckpt_prng.Rng.substream_run}[ root r] where [root] is rebuilt from
-    the shared [seed], and each batch is reduced into its own
-    {!Ckpt_stats.Welford} accumulator. Batch accumulators are merged in
-    batch-index order.
+    batches on an absolute run-index grid. The batches are the tasks of
+    one {!Domain_team} round (an adaptive campaign runs all its rounds
+    on one team), claimed through the team's atomic cursor; run [r]
+    draws its randomness from {!Ckpt_prng.Rng.substream_run}[ root r]
+    where [root] is rebuilt from the shared [seed], and each batch is
+    reduced into its own {!Ckpt_stats.Welford} accumulator. Batch
+    accumulators are merged in batch-index order.
 
     {b Determinism guarantee}: neither the sample set nor the reduction
     tree depends on the number of domains, so every function below
@@ -17,8 +18,8 @@
 
     {b Exception safety}: if any replication raises (e.g.
     {!Sim_run.Livelock}), the remaining workers stop claiming batches,
-    every spawned domain is joined, and the first exception observed is
-    re-raised — no domain is ever leaked.
+    the team is shut down and every worker domain joined, and the first
+    exception recorded is re-raised — no domain is ever leaked.
 
     The [sample] callback runs concurrently on several domains: it must
     not mutate shared state (closing over per-call state derived from
@@ -28,10 +29,6 @@ val batch_size : int
 (** Runs per batch (256). Part of the determinism contract: changing it
     changes the reduction tree, hence the low-order bits of estimates. *)
 
-val default_domains : unit -> int
-(** [min 8 (Domain.recommended_domain_count ())]: the pool size used
-    when [?domains] is omitted. *)
-
 val estimate :
   ?domains:int ->
   runs:int ->
@@ -39,8 +36,9 @@ val estimate :
   (int -> Ckpt_prng.Rng.t -> float) ->
   Ckpt_stats.Welford.t
 (** [estimate ~runs ~seed sample] reduces [sample r rng_r] for
-    [r = 0 .. runs-1] into one accumulator. Raises [Invalid_argument]
-    if [runs <= 0] or [domains < 1]. *)
+    [r = 0 .. runs-1] into one accumulator, on a team of [domains]
+    (default {!Domain_team.default_domains}[ ()], capped at [runs]).
+    Raises [Invalid_argument] if [runs <= 0] or [domains < 1]. *)
 
 val collect :
   ?domains:int ->

@@ -138,30 +138,14 @@ let test_memoized_matches_iterative () =
       (Schedule.equal a.Chain_dp.schedule b.Chain_dp.schedule)
   done
 
-let test_dc_matches_solve () =
-  (* Generated chains satisfy the monotonicity precheck (cost steps are
-     smaller than every task weight), so this exercises the real divide
-     and conquer, not the fallback. *)
-  for seed = 1 to 12 do
-    let p = random_problem (Int64.of_int (seed + 5_000)) (3 + (7 * seed)) in
-    let a = Chain_dp.solve p and b = Chain_dp.solve_dc p in
-    close
-      (Printf.sprintf "seed %d: divide-and-conquer = iterative" seed)
-      a.Chain_dp.expected_makespan b.Chain_dp.expected_makespan;
-    Alcotest.(check bool) "same placement" true
-      (Schedule.equal a.Chain_dp.schedule b.Chain_dp.schedule)
-  done
-
-let test_dc_extreme_rates () =
+let test_memoized_extreme_rates () =
   (* Tiny λ·W (every transition below the kernel's small-argument
-     cutoff) and large λ·W (product-form tables everywhere): the three
-     solvers agree at both ends. *)
+     cutoff) and large λ·W (product-form tables everywhere): the paper
+     oracle, on the reference exp/expm1 evaluation, agrees with the
+     kernel-backed sweep at both ends. *)
   let check name p =
     let dp = Chain_dp.solve p in
-    let dc = Chain_dp.solve_dc p in
     let memo = Chain_dp.solve_memoized p in
-    close (name ^ ": dc = solve") dp.Chain_dp.expected_makespan
-      dc.Chain_dp.expected_makespan;
     close (name ^ ": memoized = solve") dp.Chain_dp.expected_makespan
       memo.Chain_dp.expected_makespan
   in
@@ -170,37 +154,6 @@ let test_dc_extreme_rates () =
     (Chain_problem.uniform ~downtime:0.1 ~lambda:1e-8 ~checkpoint:0.3 ~recovery:0.4 works);
   check "large lambda"
     (Chain_problem.uniform ~downtime:0.1 ~lambda:3.0 ~checkpoint:0.3 ~recovery:0.4 works)
-
-let test_dc_fallback_on_nonmonotone () =
-  (* A recovery-cost spike bigger than the adjacent task weight breaks
-     the inverse-Monge precheck: solve_dc must detect it, count a
-     dp.dc_fallbacks tick, and return exactly solve's answer (it runs
-     solve). *)
-  let tasks =
-    List.mapi
-      (fun i w ->
-        Task.make ~id:i
-          ~name:(Printf.sprintf "T%d" (i + 1))
-          ~work:w ~checkpoint_cost:0.5
-          ~recovery_cost:(if i = 3 then 50.0 else 0.5)
-          ())
-      [ 2.0; 3.0; 2.0; 4.0; 2.0; 3.0; 2.0; 5.0 ]
-  in
-  let p = Chain_problem.make ~downtime:0.2 ~lambda:0.2 tasks in
-  Alcotest.(check bool) "precheck rejects the spike" false
-    (Ckpt_core.Segment_cost.supports_monotone_dc (Chain_problem.kernel p));
-  Ckpt_obs.Metrics.reset ();
-  let dp = Chain_dp.solve p in
-  let dc = Chain_dp.solve_dc p in
-  Alcotest.(check bool) "fallback result is bit-identical to solve" true
-    (Float.equal dp.Chain_dp.expected_makespan dc.Chain_dp.expected_makespan);
-  Alcotest.(check bool) "fallback placement equals solve's" true
-    (Schedule.equal dp.Chain_dp.schedule dc.Chain_dp.schedule);
-  (match Ckpt_obs.Metrics.find (Ckpt_obs.Metrics.snapshot ()) "dp.dc_fallbacks" with
-  | Some (_, Ckpt_obs.Metrics.Counter n) ->
-      Alcotest.(check int) "one fallback counted" 1 n
-  | Some _ -> Alcotest.fail "dp.dc_fallbacks is not a counter"
-  | None -> Alcotest.fail "dp.dc_fallbacks not recorded")
 
 (* --- SMAWK solver --------------------------------------------------- *)
 
@@ -237,7 +190,9 @@ let test_smawk_matches_solve () =
 let test_smawk_ties_and_blocks () =
   (* Uniform chains maximise exact float ties between candidate
      splits; the leftmost-on-ties fold must still reproduce solve's
-     scan. Block size must not matter either. *)
+     scan. Sizes straddle the 256-state block edges and span several
+     blocks, so partial first blocks and multi-block windows are both
+     covered. *)
   List.iter
     (fun n ->
       let p =
@@ -247,24 +202,29 @@ let test_smawk_ties_and_blocks () =
       in
       bit_identical (Printf.sprintf "uniform n=%d" n) (Chain_dp.solve p)
         (Chain_dp.solve_smawk p))
-    [ 1; 2; 3; 17; 100; 257 ];
-  let p = random_problem 4_242L 500 in
-  let reference = Chain_dp.solve p in
+    [ 1; 2; 3; 17; 100; 255; 256; 257; 513; 1025 ];
   List.iter
-    (fun block ->
-      bit_identical
-        (Printf.sprintf "block=%d" block)
-        reference
-        (Chain_dp.solve_smawk ~block p))
-    [ 2; 3; 7; 64; 1024 ];
-  Alcotest.check_raises "block bounds checked"
-    (Invalid_argument "Chain_dp.solve_smawk: block must be >= 2") (fun () ->
-      ignore (Chain_dp.solve_smawk ~block:1 p))
+    (fun n ->
+      (* λ scaled to the chain length keeps λ·W inside the kernel's
+         table range, so the certificate can hold at every size. *)
+      let rng = Rng.create ~seed:(Int64.of_int (4_242 + n)) in
+      let dag = Generate.chain rng (Generate.uniform_costs ()) ~n in
+      let p =
+        Chain_problem.of_dag ~downtime:0.3 ~initial_recovery:0.5
+          ~lambda:(Rng.float_range rng 1.0 20.0 /. float_of_int n)
+          dag
+      in
+      Alcotest.(check bool) (Printf.sprintf "random n=%d: SMAWK path, not the fallback" n)
+        true
+        (Ckpt_core.Segment_cost.supports_monotone_dc (Chain_problem.kernel p));
+      bit_identical (Printf.sprintf "random n=%d" n) (Chain_dp.solve p)
+        (Chain_dp.solve_smawk p))
+    [ 255; 256; 257; 513; 1025; 2000 ]
 
 let test_smawk_fallback_on_nonmonotone () =
-  (* Same spike instance as the dc fallback test: solve_smawk must
-     detect the broken certificate, count dp.smawk_fallbacks, and
-     return exactly solve's answer — through the parallel sweep too. *)
+  (* A recovery-cost spike bigger than the adjacent task weight breaks
+     the inverse-Monge certificate: solve_smawk must detect it, count
+     one dp.smawk_fallbacks tick, and return exactly solve's answer. *)
   let tasks =
     List.mapi
       (fun i w ->
@@ -276,10 +236,11 @@ let test_smawk_fallback_on_nonmonotone () =
       [ 2.0; 3.0; 2.0; 4.0; 2.0; 3.0; 2.0; 5.0 ]
   in
   let p = Chain_problem.make ~downtime:0.2 ~lambda:0.2 tasks in
+  Alcotest.(check bool) "precheck rejects the spike" false
+    (Ckpt_core.Segment_cost.supports_monotone_dc (Chain_problem.kernel p));
   Ckpt_obs.Metrics.reset ();
   let dp = Chain_dp.solve p in
-  bit_identical "fallback (sequential)" dp (Chain_dp.solve_smawk p);
-  bit_identical "fallback (parallel sweep)" dp (Chain_dp.solve_smawk ~domains:4 p);
+  bit_identical "fallback" dp (Chain_dp.solve_smawk p);
   let snapshot = Ckpt_obs.Metrics.snapshot () in
   let counter name =
     match Ckpt_obs.Metrics.find snapshot name with
@@ -287,37 +248,13 @@ let test_smawk_fallback_on_nonmonotone () =
     | Some _ -> Alcotest.fail (name ^ " is not a counter")
     | None -> Alcotest.fail (name ^ " not recorded")
   in
-  Alcotest.(check int) "two smawk fallbacks counted" 2 (counter "dp.smawk_fallbacks");
-  (* Both fallback counters are registered at module init, so they are
-     present in every snapshot (hence in `--metrics` output) even when
-     never incremented in this process run. *)
-  Alcotest.(check int) "dc fallback counter present and untouched" 0
-    (counter "dp.dc_fallbacks")
-
-let test_solve_par_matches_solve () =
-  (* Chunked parallel sweep: bit-identical to solve for any domain
-     count, including rows split across several chunks (n beyond two
-     grid cells exercises the team path). *)
-  let p = random_problem 31_337L 700 in
-  let reference = Chain_dp.solve p in
-  List.iter
-    (fun domains ->
-      bit_identical
-        (Printf.sprintf "domains=%d" domains)
-        reference
-        (Chain_dp.solve_par ~domains p))
-    [ 1; 2; 4; 8 ]
+  Alcotest.(check int) "one smawk fallback counted" 1 (counter "dp.smawk_fallbacks")
 
 let qcheck_smawk_agreement =
-  (* Cross-solver agreement property: solve_smawk ≡ solve_dc ≡ solve on
-     random Monge instances and on adversarial non-Monge ones (random
-     recovery spikes force the counted fallback path). solve_smawk is
-     held to bit-for-bit equality including the schedule (its
-     leftmost-on-ties fold reproduces solve's scan exactly); solve_dc
-     keeps its documented guarantee — equal makespan to float rounding
-     and an equally-optimal placement whose ties may resolve to a
-     different (equal-cost) index. *)
-  QCheck.Test.make ~name:"smawk = dc = iterative DP (Monge and non-Monge)" ~count:120
+  (* Agreement property: solve_smawk ≡ solve bit for bit, makespan and
+     schedule, on random Monge instances and on adversarial non-Monge
+     ones (random recovery spikes force the counted fallback path). *)
+  QCheck.Test.make ~name:"smawk = iterative DP (Monge and non-Monge)" ~count:120
     QCheck.(triple (int_range 1 80) (int_range 0 10_000) bool)
     (fun (n, seed, spike) ->
       let p0 = random_problem (Int64.of_int (seed + 314_000)) n in
@@ -341,23 +278,8 @@ let qcheck_smawk_agreement =
       in
       let dp = Chain_dp.solve p in
       let smawk = Chain_dp.solve_smawk p in
-      let dc = Chain_dp.solve_dc p in
       Float.equal smawk.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
-      && Schedule.equal smawk.Chain_dp.schedule dp.Chain_dp.schedule
-      && Float.abs (dc.Chain_dp.expected_makespan -. dp.Chain_dp.expected_makespan)
-         <= 1e-9 *. dp.Chain_dp.expected_makespan
-      && Schedule.equal dc.Chain_dp.schedule smawk.Chain_dp.schedule)
-
-let qcheck_dc_matches_solve =
-  QCheck.Test.make ~name:"divide-and-conquer = iterative DP on random chains" ~count:80
-    QCheck.(pair (int_range 1 60) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let p = random_problem (Int64.of_int (seed + 88_000)) n in
-      let dp = Chain_dp.solve p in
-      let dc = Chain_dp.solve_dc p in
-      Float.abs (dc.Chain_dp.expected_makespan -. dp.Chain_dp.expected_makespan)
-      <= 1e-9 *. dp.Chain_dp.expected_makespan
-      && Schedule.equal dp.Chain_dp.schedule dc.Chain_dp.schedule)
+      && Schedule.equal smawk.Chain_dp.schedule dp.Chain_dp.schedule)
 
 let test_dp_extreme_rates () =
   (* Large lambda: checkpoint after every task is optimal.
@@ -383,56 +305,6 @@ let test_dp_values_structure () =
   for x = 0 to 3 do
     Alcotest.(check bool) "monotone suffix values" true (values.(x) > values.(x + 1))
   done
-
-let test_first_segment_end () =
-  let p = sample_problem () in
-  let solution = Chain_dp.solve p in
-  Alcotest.(check int) "numTask output"
-    (List.hd (Schedule.checkpoint_indices solution.Chain_dp.schedule))
-    (Chain_dp.first_segment_end p)
-
-let test_bounded_dp () =
-  let p = random_problem 2121L 20 in
-  let full = Chain_dp.solve p in
-  (* max_segment >= n: identical to the unrestricted DP. *)
-  let unbounded = Chain_dp.solve_bounded p ~max_segment:20 in
-  close "L >= n reproduces solve" full.Chain_dp.expected_makespan
-    unbounded.Chain_dp.expected_makespan;
-  Alcotest.(check bool) "same placement" true
-    (Schedule.equal full.Chain_dp.schedule unbounded.Chain_dp.schedule);
-  (* Restricting the segment length can only increase the optimum, and
-     the schedule respects the bound. *)
-  List.iter
-    (fun l ->
-      let bounded = Chain_dp.solve_bounded p ~max_segment:l in
-      Alcotest.(check bool)
-        (Printf.sprintf "L=%d: no better than unrestricted" l)
-        true
-        (bounded.Chain_dp.expected_makespan >= full.Chain_dp.expected_makespan -. 1e-9);
-      List.iter
-        (fun (first, last) ->
-          Alcotest.(check bool) "segment length bounded" true (last - first + 1 <= l))
-        (Schedule.segments bounded.Chain_dp.schedule))
-    [ 1; 2; 3; 5 ];
-  (* L = 1 is checkpoint-all. *)
-  let all_ckpt = Chain_dp.solve_bounded p ~max_segment:1 in
-  close "L = 1 is checkpoint-all"
-    (Schedule.expected_makespan (Schedule.checkpoint_all p))
-    all_ckpt.Chain_dp.expected_makespan
-
-let test_bounded_dp_scales () =
-  (* 100k tasks, L = 32: must run in well under a second. *)
-  let works = List.init 100_000 (fun i -> 1.0 +. float_of_int (i mod 7)) in
-  let p = Chain_problem.uniform ~lambda:0.01 ~checkpoint:0.5 ~recovery:0.5 works in
-  let elapsed, solution =
-    Ckpt_obs.Clock.time (fun () -> Chain_dp.solve_bounded p ~max_segment:32)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "solved 100k tasks in %.2fs" elapsed)
-    true (elapsed < 5.0);
-  Alcotest.(check bool) "finite positive result" true
-    (Float.is_finite solution.Chain_dp.expected_makespan
-     && solution.Chain_dp.expected_makespan > 0.0)
 
 let test_budget_dp () =
   let p = random_problem 99L 10 in
@@ -545,26 +417,16 @@ let suite =
     Alcotest.test_case "DP on a single task" `Quick test_dp_single_task;
     Alcotest.test_case "DP = brute force (fixed)" `Quick test_dp_matches_brute_force_fixed;
     Alcotest.test_case "memoized = iterative" `Quick test_memoized_matches_iterative;
-    Alcotest.test_case "divide-and-conquer = iterative" `Quick test_dc_matches_solve;
-    Alcotest.test_case "divide-and-conquer at extreme rates" `Quick
-      test_dc_extreme_rates;
-    Alcotest.test_case "divide-and-conquer fallback" `Quick
-      test_dc_fallback_on_nonmonotone;
+    Alcotest.test_case "memoized at extreme rates" `Quick test_memoized_extreme_rates;
     Alcotest.test_case "SMAWK = iterative DP" `Quick test_smawk_matches_solve;
     Alcotest.test_case "SMAWK ties and block sizes" `Quick test_smawk_ties_and_blocks;
     Alcotest.test_case "SMAWK fallback" `Quick test_smawk_fallback_on_nonmonotone;
-    Alcotest.test_case "parallel sweep = iterative DP" `Quick
-      test_solve_par_matches_solve;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
-    Alcotest.test_case "first segment end (numTask)" `Quick test_first_segment_end;
-    Alcotest.test_case "bounded-segment DP" `Quick test_bounded_dp;
-    Alcotest.test_case "bounded DP at scale" `Slow test_bounded_dp_scales;
     Alcotest.test_case "budget-constrained DP" `Quick test_budget_dp;
     Alcotest.test_case "budget curve" `Quick test_budget_curve;
     QCheck_alcotest.to_alcotest qcheck_budget_matches_filtered_brute_force;
     QCheck_alcotest.to_alcotest qcheck_dp_optimal;
-    QCheck_alcotest.to_alcotest qcheck_dc_matches_solve;
     QCheck_alcotest.to_alcotest qcheck_smawk_agreement;
     QCheck_alcotest.to_alcotest qcheck_dp_below_heuristics;
     QCheck_alcotest.to_alcotest qcheck_schedule_segments_cover;

@@ -330,18 +330,12 @@ let test_dp_transition_counters_agree () =
   Alcotest.(check int) "n(n+1)/2 transitions for the iterative DP" (37 * 38 / 2)
     iterative;
   Alcotest.(check int) "memoized DP reports the same total" iterative memoized;
-  (* The divide and conquer does strictly fewer evaluations, and within
-     the O(n log² n) bound (n·(log2 n + 1)² + n is generous already at
-     n = 37 and stays so at bench sizes). *)
-  let dc = transitions_of (Ckpt_core.Chain_dp.solve_dc ?verify:None) in
-  let log2n = int_of_float (Float.ceil (Float.log2 37.0)) in
+  (* The SMAWK front door does strictly fewer evaluations than the
+     sweep's n(n+1)/2 on the same certified instance. *)
+  let smawk = transitions_of Ckpt_core.Chain_dp.solve_smawk in
   Alcotest.(check bool)
-    (Printf.sprintf "dc transitions (%d) below iterative (%d)" dc iterative)
-    true (dc < iterative);
-  Alcotest.(check bool)
-    (Printf.sprintf "dc transitions (%d) within O(n log^2 n)" dc)
-    true
-    (dc <= (37 * (log2n + 1) * (log2n + 1)) + 37);
+    (Printf.sprintf "smawk transitions (%d) below n(n+1)/2 (%d)" smawk iterative)
+    true (smawk < iterative);
   Metrics.reset ()
 
 let test_json_snapshot_parses () =
@@ -364,7 +358,7 @@ let test_json_snapshot_parses () =
     (fun key ->
       Alcotest.(check bool) (key ^ " present") true (contains json ("\"" ^ key ^ "\"")))
     [ "metrics"; "timings"; "mc.runs"; "sim.failures"; "dp.memo_hits";
-      "dp.dc_fallbacks"; "dp.smawk_fallbacks" ]
+      "dp.smawk_fallbacks" ]
 
 let suite =
   [

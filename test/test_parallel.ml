@@ -235,6 +235,47 @@ let test_more_domains_than_runs () =
   Alcotest.(check int) "all runs executed" 3 (Welford.count acc);
   Alcotest.(check bool) "mean of 0,1,2" true (Float.equal 1.0 (Welford.mean acc))
 
+let test_failed_team_create_leaks_no_domain () =
+  (* The runtime caps live domains well below 300, so this create fails
+     part-way; the workers it had already spawned must be joined, or
+     they would hold their slots and break every later pool. *)
+  (match Ckpt_sim.Domain_team.create ~domains:300 () with
+  | team ->
+      Ckpt_sim.Domain_team.shutdown team;
+      Alcotest.fail "expected a 300-domain team to exceed the runtime's domain cap"
+  | exception Failure _ -> ());
+  let estimate domains =
+    Parallel_exec.estimate ~domains ~runs:3000 ~seed:9L (fun r rng ->
+        float_of_int (r mod 3) +. Rng.float rng)
+  in
+  let acc = estimate 4 and reference = estimate 1 in
+  Alcotest.(check int) "campaign after the failed create completes" 3000 (Welford.count acc);
+  same "mean equals the 1-domain campaign" (Welford.mean reference) (Welford.mean acc);
+  same "variance equals the 1-domain campaign" (Welford.variance reference)
+    (Welford.variance acc)
+
+let test_domain_batch_gauges_sum () =
+  (* Per-participant batch gauges account for every batch of the round
+     exactly once, whatever the team size. *)
+  let runs = 2000 in
+  let batches = (runs + Parallel_exec.batch_size - 1) / Parallel_exec.batch_size in
+  List.iter
+    (fun domains ->
+      Ckpt_obs.Metrics.reset ();
+      ignore (Parallel_exec.estimate ~domains ~runs ~seed:3L (fun _ _ -> 1.0));
+      let snapshot = Ckpt_obs.Metrics.snapshot () in
+      let total = ref 0.0 in
+      for d = 0 to domains - 1 do
+        let name = Printf.sprintf "pool.domain%d.batches" d in
+        match Ckpt_obs.Metrics.find snapshot name with
+        | Some (_, Ckpt_obs.Metrics.Gauge (Some v)) -> total := !total +. v
+        | _ -> Alcotest.failf "%s not set (%d domains)" name domains
+      done;
+      same (Printf.sprintf "batch gauges sum to %d (%d domains)" batches domains)
+        (float_of_int batches) !total)
+    [ 1; 2; 3 ];
+  Ckpt_obs.Metrics.reset ()
+
 let test_invalid_arguments () =
   let sample _ _ = 0.0 in
   Alcotest.check_raises "zero runs" (Invalid_argument "Parallel_exec: runs must be positive")
@@ -277,5 +318,9 @@ let suite =
     Alcotest.test_case "livelock propagates through the pool" `Quick
       test_livelock_propagates;
     Alcotest.test_case "more domains than runs" `Quick test_more_domains_than_runs;
+    Alcotest.test_case "failed team create leaks no domain" `Quick
+      test_failed_team_create_leaks_no_domain;
+    Alcotest.test_case "per-domain batch gauges sum to the batch count" `Quick
+      test_domain_batch_gauges_sum;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
   ]
