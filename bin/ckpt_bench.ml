@@ -2,12 +2,15 @@
    regression gate (docs/BENCHMARKS.md).
 
      ckpt-bench run   [--quick] [-o FILE] [--filter SUBSTR] [--tag TAG]
+                      [--metrics FMT] [--metrics-out FILE] [--trace FILE]
      ckpt-bench diff  BASELINE CANDIDATE [--config bench.toml]
      ckpt-bench check --baseline FILE [--candidate FILE] [--full]
                       [--config FILE] [-o FILE]
 
    `run` executes the Ckpt_bench case registry and serializes a
-   BENCH_<n>.json (schema.mli); `diff` compares two result files with
+   BENCH_<n>.json (schema.mli), plus the shared observability outputs
+   (Ckpt_obs_cli); `run` and `check` both end with
+   Cases.assert_mc_deterministic. `diff` compares two result files with
    the noise-aware comparator — strict defaults (max(10%, 3 sigma))
    unless --config supplies bench.toml overrides; `check` is the CI
    gate: it runs the benches (quick mode by default), validates the
@@ -22,6 +25,7 @@
 module Bench_config = Ckpt_bench.Bench_config
 module Cases = Ckpt_bench.Cases
 module Compare = Ckpt_bench.Compare
+module Obs_cli = Ckpt_obs_cli.Obs_cli
 module Runner = Ckpt_bench.Runner
 module Schema = Ckpt_bench.Schema
 
@@ -76,12 +80,15 @@ let execute ~quick ~filter ~tags ~verbose =
   let run =
     Runner.run ~filter:(case_filter ~filter ~tags) ~on_case:(progress verbose) ~quick ()
   in
-  Cases.assert_mc_deterministic ();
+  Cases.assert_mc_deterministic ~quick;
   run
 
 (* --- run ------------------------------------------------------------ *)
 
-let run_cmd quick output filter tags quiet =
+(* The observability sinks flush even when a case or the determinism
+   check raises, so a failing run still leaves its snapshot and trace. *)
+let run_cmd quick output filter tags quiet obs_flush =
+  Fun.protect ~finally:obs_flush @@ fun () ->
   let run = execute ~quick ~filter ~tags ~verbose:(not quiet) in
   if run.Schema.cases = [] then begin
     err "no case matches the given --filter/--tag";
@@ -194,7 +201,8 @@ let config_t =
   Arg.(value & opt (some string) None & info [ "config" ] ~docv:"FILE"
          ~doc:"Comparator thresholds and required metric keys (bench.toml).")
 
-let run_term = Term.(const run_cmd $ quick_t $ output_t $ filter_t $ tags_t $ quiet_t)
+let run_term =
+  Term.(const run_cmd $ quick_t $ output_t $ filter_t $ tags_t $ quiet_t $ Obs_cli.term)
 
 let run_cmd_v =
   Cmd.v
@@ -248,8 +256,9 @@ let cmd =
          domains) and serializes every run to the versioned BENCH_<n>.json \
          schema: per-case mean/stddev/99% CI over monotonic-clock timings, \
          run metadata (git sha, OCaml version, domain count, quick/full \
-         mode) and the embedded Ckpt_obs.Metrics snapshot. See \
-         docs/BENCHMARKS.md.";
+         mode) and the embedded Ckpt_obs.Metrics snapshot. Every run ends \
+         by checking that the Monte-Carlo pool gives the bit-identical \
+         estimate at 1, 2, 3, 4 and 8 domains. See docs/BENCHMARKS.md.";
     ]
   in
   Cmd.group (Cmd.info "ckpt-bench" ~doc ~man) [ run_cmd_v; diff_cmd_v; check_cmd_v ]

@@ -1,7 +1,9 @@
 (* A diagnostic is one rule violation pinned to a source location, plus
    the text and JSON renderings shared by the CLI and the test suite.
-   This module must stay dependency-free (the linter lints the libraries
-   it would otherwise depend on). *)
+   This module depends only on the dependency-free Ckpt_json (the
+   linter lints the libraries it would otherwise depend on). *)
+
+module Json = Ckpt_json.Json
 
 type severity = Error | Warning
 
@@ -37,28 +39,12 @@ let to_text d =
     (severity_to_string d.severity)
     d.rule d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"severity\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.file) d.line d.col
+    (Json.escape d.file) d.line d.col
     (severity_to_string d.severity)
-    (json_escape d.rule) (json_escape d.message)
+    (Json.escape d.rule) (Json.escape d.message)
 
 let count ds =
   List.fold_left

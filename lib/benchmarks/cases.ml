@@ -24,30 +24,35 @@ let chain_problem n =
   let dag = Generate.chain rng spec ~n in
   Chain_problem.of_dag ~downtime:0.2 ~lambda:(10.0 /. float_of_int n) dag
 
-(* The Part-3 scaling workload: fixed seed, so the estimate is
-   bit-identical for any domain count (the property bench/main.exe
-   asserts) and runs differ only in wall time. *)
-let mc_scaling_runs ~quick = if quick then 10_000 else 100_000
-
+(* The Monte-Carlo pool workload: fixed seed, so the estimate is
+   bit-identical for any domain count (the property
+   [assert_mc_deterministic] checks) and runs differ only in wall time. *)
 let mc_scaling_estimate ~quick ~domains =
   let rng = Rng.create ~seed:20_260_806L in
   let segments = [ Sim_run.segment ~work:100.0 ~checkpoint:5.0 ~recovery:5.0 ] in
   Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.01)
-    ~downtime:1.0 ~runs:(mc_scaling_runs ~quick) ~rng segments
+    ~downtime:1.0 ~runs:(if quick then 10_000 else 100_000) ~rng segments
 
-let assert_mc_deterministic () =
-  let estimate domains =
-    let rng = Rng.create ~seed:77_001L in
-    let segments = [ Sim_run.segment ~work:50.0 ~checkpoint:2.0 ~recovery:2.0 ] in
-    (Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.02)
-       ~downtime:0.5 ~runs:2_000 ~rng segments)
-      .Monte_carlo.mean
+let assert_mc_deterministic ~quick =
+  let fields (e : Monte_carlo.estimate) =
+    [
+      ("mean", e.mean); ("stddev", e.stddev); ("min", e.min); ("max", e.max);
+      ("runs", float_of_int e.runs);
+    ]
   in
-  let d1 = estimate 1 and d3 = estimate 3 in
-  if not (Float.equal d1 d3) then
-    failwith
-      (Printf.sprintf
-         "Monte-Carlo determinism violated: mean %.17g at 1 domain, %.17g at 3" d1 d3)
+  let reference = fields (mc_scaling_estimate ~quick ~domains:1) in
+  List.iter
+    (fun domains ->
+      List.iter2
+        (fun (what, expected) (_, actual) ->
+          if not (Float.equal expected actual) then
+            failwith
+              (Printf.sprintf
+                 "Monte-Carlo determinism violated: %s %.17g at 1 domain, %.17g at %d"
+                 what expected actual domains))
+        reference
+        (fields (mc_scaling_estimate ~quick ~domains)))
+    [ 2; 3; 4; 8 ]
 
 (* The serve benches run a real loopback socket round-trip: server
    started and drained inside the timed call, so every invocation also

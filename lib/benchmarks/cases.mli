@@ -1,15 +1,19 @@
-(** The named, tagged benchmark cases behind both the human bench
-    driver ([bench/main.exe]) and the machine-readable [ckpt-bench]
-    CLI. Every case is deterministic given its fixed seed; only its
-    timing varies.
+(** The named, tagged benchmark cases behind the [ckpt-bench] CLI.
+    Every case is deterministic given its fixed seed; only its timing
+    varies.
 
     Tags (used by [ckpt-bench run --tag]): [kernel] (closed forms and
-    other micro-kernels), [dp] (chain/partition dynamic programs),
-    [smawk] (the SMAWK chain solver at n ∈ {3200, 12800, 10⁶} and its
-    linearity gate), [scaling] (the chain DP at
-    n ∈ {50, 200, 800, 3200}, exposing the O(n²) curve, the SMAWK
-    cases, and the Monte-Carlo pool at 1/2/4/8 domains), [sim] (simulator throughput), [mc] (Monte-Carlo pool),
-    [dist] (distribution kernels). *)
+    other micro-kernels), [core] (the Proposition 1 closed form and
+    the schedule expectation), [failures] (failure streams), [dist]
+    (distribution kernels), [fit] (the Weibull maximum-likelihood fit),
+    [dp] (chain/partition dynamic programs), [smawk] (the SMAWK chain
+    solver at n ∈ {3200, 12800, 10⁶} and its linearity gate),
+    [scaling] (the chain DP at n ∈ {50, 200, 800, 3200}, exposing the
+    O(n²) curve, the SMAWK cases, the parallel moldable sweep and the
+    Monte-Carlo pool at 1/2/4/8 domains), [sim] (simulator
+    throughput and the scenario harness), [scenarios] (the scenario
+    registry and its coverage sweep), [mc] (Monte-Carlo pool),
+    [serve] (loopback [ckpt-serve] round trips). *)
 
 type kind =
   | Micro of (unit -> unit)
@@ -27,13 +31,11 @@ val all : quick:bool -> case list
     the Monte-Carlo run counts), not just the sample counts, so it is
     safe on 2-core CI runners. *)
 
-val mc_scaling_estimate : quick:bool -> domains:int -> Ckpt_sim.Monte_carlo.estimate
-(** The Part-3 domain-scaling workload (fixed seed). Exposed separately
-    so the bench driver can print the speedup table and assert the
-    bit-identical-estimates guarantee across domain counts. *)
-
-val assert_mc_deterministic : unit -> unit
-(** Cheap cross-domain determinism check (1 vs 3 domains, small run
-    count); raises [Failure] if the estimates differ. Run by
-    [ckpt-bench run] so a determinism break can never hide behind a
+val assert_mc_deterministic : quick:bool -> unit
+(** Cross-domain determinism check on the [mc-pool] workload (10 000
+    runs in quick mode, 100 000 in full): the estimate at 2, 3, 4 and 8
+    domains must equal the 1-domain estimate bit for bit (mean,
+    stddev, min, max and run count, compared with [Float.equal]);
+    raises [Failure] otherwise. Run by [ckpt-bench run] and
+    [ckpt-bench check] so a determinism break can never hide behind a
     green timing gate. *)

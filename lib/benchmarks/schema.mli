@@ -75,8 +75,5 @@ val has_metric : run -> string -> bool
     the key occurring inside some string {e value} does not count
     (unlike the shell [grep] this replaces in CI). *)
 
-val metric_names : run -> string list
-(** All field names of the embedded [metrics] and [timings] objects. *)
-
 val equal_run : run -> run -> bool
 (** Structural equality (floats via [Float.equal]) — round-trip tests. *)

@@ -1,10 +1,9 @@
 (* Diff of two metrics snapshots (the `ckpt-obs diff` engine).
 
    Inputs are JSON files carrying a Metrics snapshot: either a bare
-   `--metrics json` object ({"metrics":{...},"timings":{...}}), the
-   combined object the bench smoke emits ({"bench":{...},"metrics":...}),
-   or a full BENCH_<n>.json whose snapshot sits under the top-level
-   "metrics" key. Wherever it sits, the snapshot is the pair of
+   `--metrics json` object ({"metrics":{...},"timings":{...}}, other
+   top-level keys ignored), or a full BENCH_<n>.json whose snapshot sits
+   under the top-level "metrics" key. Wherever it sits, the snapshot is the pair of
    "metrics" (Engine) and "timings" (Timing) sub-objects.
 
    Gating mirrors ckpt-bench diff's noise-aware rule, degenerated to

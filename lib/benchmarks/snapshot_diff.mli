@@ -2,7 +2,7 @@
     [ckpt-obs diff].
 
     Accepts any JSON file carrying a snapshot: bare [--metrics json]
-    output, the bench smoke's combined object, or a full
+    output (other top-level keys are ignored), or a full
     [BENCH_<n>.json] (snapshot under the top-level [metrics] key).
 
     Gating mirrors [ckpt-bench diff]'s noise-aware rule restricted to

@@ -103,5 +103,3 @@ let auto_grouping t =
       ~downtime:t.downtime ~recovery:mean_recovery ~lambda:t.lambda
   in
   lpt_grouping t ~groups:(Stdlib.min n divisible.Approximations.chunks)
-
-let solution_cost (s : Chain_dp.solution) = s.Chain_dp.expected_makespan

@@ -55,6 +55,3 @@ val auto_grouping : t -> Chain_dp.solution
 (** {!lpt_grouping} with the group count chosen by the divisible-load
     analysis ({!Approximations.optimal_divisible}) applied to the total
     work and the mean checkpoint cost. *)
-
-val solution_cost : Chain_dp.solution -> float
-(** Convenience accessor. *)

@@ -18,10 +18,6 @@ let uniform_costs ?(work = (1.0, 10.0)) ?(checkpoint = (0.1, 1.0)) ?(recovery = 
   check_range ~allow_zero:true "recovery" recovery;
   { work_range = work; checkpoint_range = checkpoint; recovery_range = recovery }
 
-let constant_costs ~work ~checkpoint ~recovery =
-  uniform_costs ~work:(work, work) ~checkpoint:(checkpoint, checkpoint)
-    ~recovery:(recovery, recovery) ()
-
 let draw rng (lo, hi) = if lo = hi then lo else Rng.float_range rng lo hi
 
 let task_list rng spec ~n =

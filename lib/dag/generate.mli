@@ -14,9 +14,6 @@ val uniform_costs :
 (** Defaults: work in [1, 10], checkpoint in [0.1, 1], recovery in
     [0.1, 1]. Ranges must satisfy 0 <= lo <= hi (work lo > 0). *)
 
-val constant_costs : work:float -> checkpoint:float -> recovery:float -> cost_spec
-(** Degenerate ranges: every task identical. *)
-
 val task_list : Ckpt_prng.Rng.t -> cost_spec -> n:int -> Task.t list
 (** [n] tasks with ids 0..n-1 and costs drawn from the spec. *)
 

@@ -16,6 +16,3 @@ val parse_exn : string -> Law.t
 val to_spec : Law.t -> string
 (** Render a law back to a parsable description (inverse of {!parse} up
     to floating-point formatting). *)
-
-val usage : string
-(** One-line summary of the accepted formats, for CLI help/errors. *)

@@ -26,10 +26,6 @@ val expected_cascade_failures : lambda:float -> downtime:float -> float
     effective downtime window: e^(λD) − 1 (the count of failures until
     the first gap >= D is geometric with success probability e^(−λD)). *)
 
-val simulate_one : lambda:float -> downtime:float -> Ckpt_prng.Rng.t -> float
-(** One sample of D_eff: inject a failure at time 0, then draw Poisson
-    arrivals until a D-length quiet window closes the downtime. *)
-
 val simulate :
   lambda:float -> downtime:float -> runs:int -> Ckpt_prng.Rng.t ->
   Ckpt_stats.Welford.t

@@ -26,17 +26,11 @@ type phase = Work | Checkpoint | Recovery | Downtime
 (** Mirror of the simulator's phase vocabulary, kept here so this
     library does not depend on the simulator. *)
 
-val phase_equal : phase -> phase -> bool
-
 val next : t -> float -> float
 (** Query the next failure strictly after the given time. *)
 
 val of_stream : Failure_stream.t -> t
 (** Wrap a base stream. *)
-
-val of_fun : (float -> float) -> t
-(** Wrap a raw query function (it must obey the strictly-later,
-    non-decreasing-queries contract). *)
 
 val to_fun : t -> float -> float
 (** The shape {!Ckpt_sim.Sim_run} expects as [next_failure]. *)

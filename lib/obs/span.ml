@@ -1,3 +1,5 @@
+module Json = Ckpt_json.Json
+
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
@@ -165,7 +167,7 @@ let json_args args =
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v))
+           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
          args)
   ^ "}"
 
@@ -176,7 +178,7 @@ let to_jsonl records =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"kind\":\"%s\",\"start_ns\":%Ld,\"dur_ns\":%Ld,\"tid\":%d,\"depth\":%d,\"args\":%s}\n"
-           (Metrics.json_escape r.name)
+           (Json.escape r.name)
            (match r.span_kind with Complete -> "span" | Instant -> "instant")
            r.start_ns r.dur_ns r.tid r.depth (json_args r.args)))
     records;
@@ -194,11 +196,11 @@ let to_chrome records =
     | Complete ->
         Printf.sprintf
           "{\"name\":\"%s\",\"cat\":\"ckpt\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
-          (Metrics.json_escape r.name) r.tid ts (us r.dur_ns) (json_args r.args)
+          (Json.escape r.name) r.tid ts (us r.dur_ns) (json_args r.args)
     | Instant ->
         Printf.sprintf
           "{\"name\":\"%s\",\"cat\":\"ckpt\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-          (Metrics.json_escape r.name) r.tid ts (json_args r.args)
+          (Json.escape r.name) r.tid ts (json_args r.args)
   in
   "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
   ^ String.concat "," (List.map event records)

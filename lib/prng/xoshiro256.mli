@@ -1,7 +1,7 @@
 (** xoshiro256**: the main 64-bit generator used throughout the library.
 
-    Fast, passes BigCrush, and supports [jump] for cheaply creating
-    2^128 independent sequences from a single seed.
+    Fast, passes BigCrush, and jumps 2^128 steps ({!split}) for cheaply
+    creating independent sequences from a single seed.
     Reference: Blackman & Vigna, "Scrambled linear pseudorandom number
     generators", ACM TOMS 2021. *)
 
@@ -16,10 +16,6 @@ val copy : t -> t
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val jump : t -> unit
-(** [jump t] advances [t] by 2^128 steps in-place; used to partition one
-    seed into many non-overlapping streams. *)
 
 val split : t -> t
 (** [split t] returns a generator at [t]'s current position and jumps

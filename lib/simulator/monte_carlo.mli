@@ -71,17 +71,6 @@ val estimate_chain_policy :
 (** Same replication scheme for the policy-driven chain executor.
     [decide] must be thread-safe when [domains > 1]. *)
 
-val estimate_segments_parallel :
-  ?domains:int ->
-  model:failure_model ->
-  downtime:float ->
-  runs:int ->
-  rng:Ckpt_prng.Rng.t ->
-  Sim_run.segment list ->
-  estimate
-(** @deprecated Alias of {!estimate_segments} — every estimator is now
-    parallel; kept for source compatibility. *)
-
 type distribution = {
   samples : float array;  (** Sorted makespan samples. *)
   estimate : estimate;

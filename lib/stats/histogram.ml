@@ -37,10 +37,6 @@ let underflow t = t.underflow
 let overflow t = t.overflow
 let bin_center t i = t.lo +. ((float_of_int i +. 0.5) *. t.width)
 
-let density t i =
-  if t.total = 0 then 0.0
-  else float_of_int t.counts.(i) /. (float_of_int t.total *. t.width)
-
 let render t ~width =
   let max_count = Array.fold_left Stdlib.max 1 t.counts in
   let buf = Buffer.create 256 in

@@ -23,8 +23,5 @@ val overflow : t -> int
 val bin_center : t -> int -> float
 (** Midpoint of bin [i]. *)
 
-val density : t -> int -> float
-(** Empirical density of bin [i]: count / (total * width). *)
-
 val render : t -> width:int -> string
 (** ASCII rendering, one line per bin. *)

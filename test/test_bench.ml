@@ -284,7 +284,7 @@ let test_snapshot_diff_file_shapes () =
   (* Bare --metrics json snapshot. *)
   let bare = parse_doc {|{"metrics":{"mc.runs":1000},"timings":{"pool.wall_s":0.5}}|} in
   Alcotest.(check int) "bare: engine rows" 1 (List.length bare.Snapshot_diff.engine);
-  (* The bench smoke's combined object. *)
+  (* A snapshot next to other top-level keys, which are ignored. *)
   let smoke =
     parse_doc
       {|{"bench":{"smoke":true},"metrics":{"mc.runs":1000},"timings":{}}|}

@@ -321,15 +321,17 @@ let test_parallel_monte_carlo_agrees () =
       ~runs:20_000 ~rng:(Rng.create ~seed:4242L) segments
   in
   let parallel =
-    Monte_carlo.estimate_segments_parallel ~domains:4
-      ~model:(Monte_carlo.Poisson_rate 0.08) ~downtime:0.4 ~runs:20_000
-      ~rng:(Rng.create ~seed:4242L) segments
+    Monte_carlo.estimate_segments ~domains:4 ~model:(Monte_carlo.Poisson_rate 0.08)
+      ~downtime:0.4 ~runs:20_000 ~rng:(Rng.create ~seed:4242L) segments
   in
-  (* Identical sample sets; only merge order differs. *)
-  close ~tol:1e-9 "same mean" sequential.Monte_carlo.mean parallel.Monte_carlo.mean;
-  close ~tol:1e-6 "same stddev" sequential.Monte_carlo.stddev parallel.Monte_carlo.stddev;
-  close "same min" sequential.Monte_carlo.min parallel.Monte_carlo.min;
-  close "same max" sequential.Monte_carlo.max parallel.Monte_carlo.max
+  (* Estimates are bit-identical for any domain count. *)
+  let same what a b =
+    Alcotest.(check bool) (Printf.sprintf "%s: %.17g vs %.17g" what a b) true (Float.equal a b)
+  in
+  same "same mean" sequential.Monte_carlo.mean parallel.Monte_carlo.mean;
+  same "same stddev" sequential.Monte_carlo.stddev parallel.Monte_carlo.stddev;
+  same "same min" sequential.Monte_carlo.min parallel.Monte_carlo.min;
+  same "same max" sequential.Monte_carlo.max parallel.Monte_carlo.max
 
 let test_monte_carlo_reproducible () =
   let rng1 = Rng.create ~seed:31337L and rng2 = Rng.create ~seed:31337L in
