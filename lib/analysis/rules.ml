@@ -382,44 +382,7 @@ let unguarded_global_mutable : Rule.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 5. span-scope-safety                                                *)
-(* ------------------------------------------------------------------ *)
-
-let is_raw_span_call n =
-  String.ends_with ~suffix:"Span.enter" n || String.ends_with ~suffix:"Span.exit" n
-
-let span_scope_safety : Rule.t =
-  {
-    name = "span-scope-safety";
-    doc =
-      "raw Span.enter/Span.exit outside lib/obs/span.ml: an exception between \
-       the pair corrupts the depth tracking; use the exception-safe Span.with_";
-    default_severity = Diagnostic.Error;
-    check =
-      (fun ctx str ->
-        if ctx.Rule.path = "lib/obs/span.ml" then ()
-        else
-          let visit =
-            object
-              inherit Ast_traverse.iter as super
-
-              method! expression e =
-                (match e.pexp_desc with
-                | Pexp_ident { txt; _ } when is_raw_span_call (name_of txt) ->
-                    ctx.Rule.emit ~loc:e.pexp_loc
-                      (Printf.sprintf
-                         "%s is the raw span scope API; wrap the scope in \
-                          Span.with_ ~name (exception-safe) instead"
-                         (name_of txt))
-                | _ -> ());
-                super#expression e
-            end
-          in
-          visit#structure str);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* 6. no-direct-gc-stat                                                *)
+(* 5. no-direct-gc-stat                                                *)
 (* ------------------------------------------------------------------ *)
 
 let gc_stat_fns =
@@ -462,7 +425,7 @@ let no_direct_gc_stat : Rule.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 7. banned-in-lib                                                    *)
+(* 6. banned-in-lib                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let banned_in_lib_fns =
@@ -554,7 +517,6 @@ let all : Rule.t list =
     no_wall_clock;
     no_global_random;
     unguarded_global_mutable;
-    span_scope_safety;
     no_direct_gc_stat;
     banned_in_lib;
   ]

@@ -90,15 +90,7 @@ type solution = {
   segments : (int * int * int) list;
 }
 
-(* Fixed decision-chunk grid for the parallel sweep: chunk k covers
-   j ∈ [k·mold_chunk, (k+1)·mold_chunk − 1] ∩ [x, n−1]. Boundaries are
-   absolute — independent of the domain count and of claim order — so
-   the chunk-ordered merge below is a pure function of the problem,
-   the same bit-identity discipline as Parallel_exec's batch grid. *)
-let mold_chunk = 64
-
-let solve ?(domains = 1) t =
-  if domains < 1 then invalid_arg "Moldable_chain.solve: domains must be >= 1";
+let solve t =
   let n = Array.length t.tasks in
   let candidates = Array.of_list t.candidates in
   let n_cand = Array.length candidates in
@@ -126,88 +118,36 @@ let solve ?(domains = 1) t =
   in
   (* rec_factor.(pc) = e^(λ(p)·R)·(1/λ(p) + D) for the state's recovery
      cost R: n_cand exp evaluations per state instead of one per
-     transition. (The parallel sweep recomputes it per chunk — same
-     float expression, so the bits cannot differ.) *)
-  let fill_rec_factor rf x c =
-    let recovery = if x = 0 then t.initial_recovery else recovery_of x c in
-    for pc = 0 to n_cand - 1 do
-      let lambda = lambda_at t candidates.(pc) in
-      rf.(pc) <- exp (lambda *. recovery) *. ((1.0 /. lambda) +. t.downtime)
-    done
-  in
-  (* Leftmost lexicographic-(j, pc) strict-< scan of state (x, ·) over
-     decisions [jlo, jhi] × candidates — exactly the sequential loop's
-     comparison sequence restricted to the range. *)
-  let scan x rf jlo jhi =
-    let best = ref infinity and best_j = ref (-1) and best_pc = ref (-1) in
-    for j = jlo to jhi do
+     transition. *)
+  let rec_factor = Array.make n_cand 0.0 in
+  for x = n - 1 downto 0 do
+    for c = 0 to n_cand do
+      let recovery = if x = 0 then t.initial_recovery else recovery_of x c in
       for pc = 0 to n_cand - 1 do
-        let cost =
-          (rf.(pc) *. Segment_cost.growth_unsafe kernels.(pc) ~first:x ~last:j)
-          +. Dp_tables.fget value (((j + 1) * width) + pc)
-        in
-        if cost < !best then begin
-          best := cost;
-          best_j := j;
-          best_pc := pc
-        end
-      done
-    done;
-    (!best, !best_j, !best_pc)
-  in
-  let store x c (v, j, pc) =
-    Dp_tables.fset value ((x * width) + c) v;
-    Dp_tables.iset choice_j ((x * width) + c) j;
-    Dp_tables.iset choice_pc ((x * width) + c) pc
-  in
-  if domains = 1 then begin
-    let rec_factor = Array.make n_cand 0.0 in
-    for x = n - 1 downto 0 do
-      for c = 0 to n_cand do
-        fill_rec_factor rec_factor x c;
-        store x c (scan x rec_factor x (n - 1))
-      done
+        let lambda = lambda_at t candidates.(pc) in
+        rec_factor.(pc) <- exp (lambda *. recovery) *. ((1.0 /. lambda) +. t.downtime)
+      done;
+      (* Leftmost lexicographic-(j, pc) strict-< scan over the
+         decisions [x, n−1] × candidates. *)
+      let best = ref infinity and best_j = ref (-1) and best_pc = ref (-1) in
+      for j = x to n - 1 do
+        for pc = 0 to n_cand - 1 do
+          let cost =
+            (rec_factor.(pc) *. Segment_cost.growth_unsafe kernels.(pc) ~first:x ~last:j)
+            +. Dp_tables.fget value (((j + 1) * width) + pc)
+          in
+          if cost < !best then begin
+            best := cost;
+            best_j := j;
+            best_pc := pc
+          end
+        done
+      done;
+      Dp_tables.fset value ((x * width) + c) !best;
+      Dp_tables.iset choice_j ((x * width) + c) !best_j;
+      Dp_tables.iset choice_pc ((x * width) + c) !best_pc
     done
-  end
-  else
-    Ckpt_sim.Domain_team.with_team ~domains (fun team ->
-        let n_chunks_total = (n + mold_chunk - 1) / mold_chunk in
-        let max_tasks = width * n_chunks_total in
-        let slot_val = Array.make max_tasks infinity in
-        let slot_j = Array.make max_tasks (-1) in
-        let slot_pc = Array.make max_tasks (-1) in
-        for x = n - 1 downto 0 do
-          let c0 = x / mold_chunk in
-          let chunks = n_chunks_total - c0 in
-          (* Task i = state (c, chunk) pair; each task owns slot i, so
-             claim order cannot influence the merge below. *)
-          Ckpt_sim.Domain_team.run team ~tasks:(width * chunks) (fun ~participant:_ i ->
-              let c = i / chunks and k = i mod chunks in
-              let ch = c0 + k in
-              let jlo = Stdlib.max x (ch * mold_chunk) in
-              let jhi = Stdlib.min (n - 1) (((ch + 1) * mold_chunk) - 1) in
-              let rf = Array.make n_cand 0.0 in
-              fill_rec_factor rf x c;
-              let v, j, pc = scan x rf jlo jhi in
-              slot_val.(i) <- v;
-              slot_j.(i) <- j;
-              slot_pc.(i) <- pc);
-          (* Merge in chunk order with strict <: the earliest chunk
-             attaining the minimum wins, reproducing the sequential
-             leftmost-(j, pc) scan bit for bit. *)
-          for c = 0 to n_cand do
-            let base = c * chunks in
-            let best = ref infinity and best_j = ref (-1) and best_pc = ref (-1) in
-            for k = 0 to chunks - 1 do
-              if slot_val.(base + k) < !best then begin
-                best := slot_val.(base + k);
-                best_j := slot_j.(base + k);
-                best_pc := slot_pc.(base + k)
-              end
-            done;
-            store x c (!best, !best_j, !best_pc)
-          done
-        done);
+  done;
   let rec rebuild acc x c =
     if x = n then List.rev acc
     else begin

@@ -66,13 +66,6 @@ val cost : t -> first:int -> last:int -> float
     validated — this is the DP inner-loop entry point; the validating
     public API is [Chain_problem.segment_expected]. *)
 
-val growth : t -> first:int -> last:int -> float
-(** The failure-growth factor [e^(λ·(W(first,last) + C_last)) − 1]
-    alone, without the [pre.(first)] recovery/downtime factor — for
-    callers whose recovery cost depends on DP state rather than on
-    position (the moldable-chain DP hoists its own
-    [e^(λR)·(1/λ + D)] factor). Same guards as {!cost}. *)
-
 val cost_unsafe : t -> first:int -> last:int -> float
 (** Exactly {!cost} — same float expression, bit-for-bit — with the
     array bounds checks elided ([Array.unsafe_get]). For DP inner loops
@@ -81,7 +74,11 @@ val cost_unsafe : t -> first:int -> last:int -> float
     behaviour. *)
 
 val growth_unsafe : t -> first:int -> last:int -> float
-(** Exactly {!growth} with bounds checks elided; same contract as
+(** The failure-growth factor [e^(λ·(W(first,last) + C_last)) − 1]
+    alone, without the [pre.(first)] recovery/downtime factor — for
+    callers whose recovery cost depends on DP state rather than on
+    position (the moldable-chain DP hoists its own
+    [e^(λR)·(1/λ + D)] factor). Bounds checks elided; same contract as
     {!cost_unsafe}. *)
 
 val reference_cost : t -> first:int -> last:int -> float

@@ -417,8 +417,6 @@ let json_object rows =
          rows)
   ^ "}"
 
-let to_json_fields snapshot =
+let to_json snapshot =
   let engine, timing = split_kinds (with_derived snapshot) in
-  Printf.sprintf "\"metrics\":%s,\"timings\":%s" (json_object engine) (json_object timing)
-
-let to_json snapshot = "{" ^ to_json_fields snapshot ^ "}"
+  Printf.sprintf "{\"metrics\":%s,\"timings\":%s}" (json_object engine) (json_object timing)

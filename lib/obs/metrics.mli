@@ -137,13 +137,8 @@ val render_table : snapshot -> string
     Counter pairs named [<base>_hits]/[<base>_misses] get a derived
     [<base>_hit_rate] row. *)
 
-val to_json_fields : snapshot -> string
-(** The body [metrics:{...},timings:{...}] (keys quoted) without
-    enclosing braces, for embedding in a larger JSON object. Keys are
-    sorted, so the deterministic part is byte-identical for identical
-    snapshots. *)
-
 val to_json : snapshot -> string
-(** [to_json_fields] wrapped in braces: an object with the [metrics]
-    and [timings] sub-objects. *)
+(** An object with the [metrics] (Engine) and [timings] sub-objects.
+    Keys are sorted, so the deterministic part is byte-identical for
+    identical snapshots. *)
 

@@ -22,7 +22,7 @@ type record = {
 type buf = {
   mutable items : record list;
   mutable depth : int;
-  (* Stack of spans opened by [enter] and not yet closed: name, entry
+  (* Stack of spans opened by [with_] and not yet closed: name, entry
      stamp, entry args. *)
   mutable open_spans : (string * int64 * (string * string) list) list;
 }
@@ -56,7 +56,7 @@ let instant ?(args = []) name =
       :: b.items
   end
 
-let enter ?(args = []) name =
+let enter ~args name =
   if enabled () then begin
     let b = Domain.DLS.get dls_buf in
     b.open_spans <- (name, Clock.now_ns (), args) :: b.open_spans;
@@ -64,10 +64,8 @@ let enter ?(args = []) name =
   end
 
 (* Close the innermost open span. Extra [args] are prepended to the
-   entry args. A pop with nothing open (spans were enabled mid-scope,
-   or the caller is unbalanced) records nothing. Named [leave]
-   internally so no bare [exit] expression appears in this module; the
-   public alias below keeps the conventional name. *)
+   entry args. A pop with nothing open (spans were enabled mid-scope)
+   records nothing. *)
 let leave ?(args = []) () =
   if enabled () then begin
     let b = Domain.DLS.get dls_buf in
@@ -90,8 +88,6 @@ let leave ?(args = []) () =
           }
           :: b.items
   end
-
-let exit = leave
 
 let with_ ?(args = []) ~name f =
   if not (enabled ()) then f ()

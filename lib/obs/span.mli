@@ -34,22 +34,7 @@ val with_ : ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a
     per domain and restored even when [f] raises; a span closed by an
     exception carries an extra [("raised", "true")] argument and the
     exception is re-raised. When disabled, runs [f] with no recording.
-
-    This is the only supported way to open a span in library code: the
-    [span-scope-safety] lint rule flags raw {!enter}/{!exit} pairs,
-    which leak the scope when the code between them raises. *)
-
-val enter : ?args:(string * string) list -> string -> unit
-(** Low-level: open a span on the current domain. Only for scopes that
-    cannot be expressed as a callback (e.g. bracketing an event loop
-    iteration from C stubs); everything else must use {!with_} — see
-    the lint note there. Every [enter] needs a matching {!exit} on the
-    same domain, including on exception paths. *)
-
-val exit : ?args:(string * string) list -> unit -> unit
-(** Low-level: close the innermost open span ([args] are appended to
-    the entry args). A call with no span open records nothing. Same
-    restrictions as {!enter}. *)
+    It is the only way to open a span, so a scope cannot leak. *)
 
 val instant : ?args:(string * string) list -> string -> unit
 (** A zero-duration marker (e.g. one adaptive-sampling CI report). *)

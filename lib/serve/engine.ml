@@ -15,7 +15,6 @@ let errors_total = Metrics.counter "serve.errors"
 type t = { plan_cache : Plan_cache.t }
 
 let create ~cache_capacity = { plan_cache = Plan_cache.create ~capacity:cache_capacity }
-let cache t = t.plan_cache
 
 (* --- param validation ----------------------------------------------- *)
 

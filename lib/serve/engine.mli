@@ -17,7 +17,6 @@
 type t
 
 val create : cache_capacity:int -> t
-val cache : t -> Plan_cache.t
 
 val handle : t -> Protocol.request -> Ckpt_json.Json.t
 (** The complete response object for one request. Never raises:

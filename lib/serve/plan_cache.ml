@@ -105,4 +105,3 @@ let store t problem (solution : Chain_dp.solution) =
         })
 
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
-let capacity t = t.cap

@@ -46,4 +46,3 @@ val store : t -> Ckpt_core.Chain_problem.t -> Ckpt_core.Chain_dp.solution -> uni
     used entry at capacity. *)
 
 val length : t -> int
-val capacity : t -> int

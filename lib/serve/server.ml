@@ -241,7 +241,6 @@ let start config =
   t
 
 let port t = t.actual_port
-let engine t = t.engine
 
 let pending t = Atomic.get t.pending_count
 

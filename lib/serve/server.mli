@@ -41,8 +41,6 @@ val start : config -> t
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)
 
-val engine : t -> Engine.t
-
 val pending : t -> int
 (** Requests accepted but not yet answered (queued + in-flight). *)
 

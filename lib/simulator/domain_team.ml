@@ -1,9 +1,9 @@
 (* Persistent team of worker domains: the compute pool behind
-   Parallel_exec's Monte-Carlo campaigns and Moldable_chain's parallel
-   sweeps (see the mli for the determinism contract). Workers are
-   spawned once per team, park on a condition variable between rounds
-   and are woken by a generation bump, so a solver that launches many
-   short rounds pays Domain.spawn once, not once per round. *)
+   Parallel_exec's Monte-Carlo campaigns (see the mli for the
+   determinism contract). Workers are spawned once per team, park on a
+   condition variable between rounds and are woken by a generation
+   bump, so an adaptive campaign that runs several rounds pays
+   Domain.spawn once, not once per round. *)
 
 type t = {
   domains : int;  (* total participants, including the calling domain *)
@@ -136,7 +136,3 @@ let run t ~tasks fn =
     Mutex.unlock t.mutex;
     match failure with None -> () | Some e -> raise e
   end
-
-let with_team ?domains fn =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> fn t)

@@ -1,21 +1,19 @@
-(** Persistent worker-domain team: the one compute pool for
-    deterministic data-parallel work.
+(** Persistent worker-domain team: the compute pool behind
+    {!Parallel_exec}, its only client.
 
     {!Parallel_exec} runs each Monte-Carlo campaign (every round of an
-    adaptive one) on one team, one task per batch; DP solvers
-    ([Ckpt_core.Moldable_chain]) launch {e many short rounds per
-    solve}, one per DP row, where per-round [Domain.spawn] would
-    dominate. A team spawns its workers once; between rounds they park
-    on a condition variable and are woken by a generation bump, so a
-    round costs two mutex handshakes rather than thread creation.
+    adaptive one) on one team, one task per batch. A team spawns its
+    workers once; between rounds they park on a condition variable and
+    are woken by a generation bump, so a round costs two mutex
+    handshakes rather than thread creation.
 
     {1 Determinism contract}
 
     [run] hands out task indices [0..tasks-1] through an atomic cursor;
     {e which} domain executes a task, and in what order tasks complete,
     is scheduling-dependent. Results are bit-identical for any domain
-    count if and only if the caller obeys the same contract as
-    {!Parallel_exec}'s batch grid:
+    count if and only if the caller keeps this contract, as
+    {!Parallel_exec}'s batch grid does:
 
     - each task writes only state owned by its index (disjoint slots in
       a preallocated array), and
@@ -57,10 +55,6 @@ val run : t -> tasks:int -> (participant:int -> int -> unit) -> unit
 val shutdown : t -> unit
 (** Wake and join the workers. Idempotent. The team cannot be used
     afterwards. *)
-
-val with_team : ?domains:int -> (t -> 'a) -> 'a
-(** [with_team fn] runs [fn] with a fresh team and guarantees
-    {!shutdown} on all exits. *)
 
 val default_domains : unit -> int
 (** The default team size ([min 8 (Domain.recommended_domain_count ())]),

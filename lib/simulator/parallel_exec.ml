@@ -52,9 +52,12 @@ let s_wall = Metrics.sum ~kind:Timing "pool.wall_s"
 
 (* One team per campaign (per adaptive campaign: its rounds share it),
    never wider than the campaign's run count. Team creation and
-   shutdown are the pool's spawn and join costs. *)
+   shutdown are the pool's spawn and join costs. The process-wide GC
+   rows are read here, once per campaign on the calling domain; the
+   lanes sample only their own allocation. *)
 let with_team ?domains ~runs fn =
   let domains = Stdlib.min (resolve_domains domains) runs in
+  let gc_probe = Ckpt_obs.Gc_telemetry.probe () in
   let t_spawn = Clock.now_ns () in
   let team = Domain_team.create ~domains () in
   Metrics.add s_spawn (Clock.elapsed_s t_spawn);
@@ -62,14 +65,15 @@ let with_team ?domains ~runs fn =
     ~finally:(fun () ->
       let t_join = Clock.now_ns () in
       Domain_team.shutdown team;
-      Metrics.add s_join (Clock.elapsed_s t_join))
+      Metrics.add s_join (Clock.elapsed_s t_join);
+      Ckpt_obs.Gc_telemetry.sample gc_probe)
     (fun () -> fn team)
 
 (* Per-participant state, armed on the participant's own domain at its
    first batch of the round and written only by that domain. *)
 type lane = {
   root : Rng.t;
-  gc_probe : Ckpt_obs.Gc_telemetry.probe;
+  minor_probe : Ckpt_obs.Gc_telemetry.minor_probe;
   mutable busy_s : float;
   mutable wall_s : float;  (* round start to the end of its last batch *)
   mutable batches : int;
@@ -95,12 +99,12 @@ let run_range team ?(store = fun _ _ -> ()) ~base ~runs ~seed sample =
     | None ->
         (* Each domain rebuilds the root from the shared seed; substream
            derivation reads only the seed, never the generator
-           position. The GC probe is per domain and sampled at batch
-           boundaries, outside the batch collector scope: gc.* rows are
-           Timing kind and must never enter the deterministically-merged
-           Engine section. *)
+           position. The allocation probe counts this domain only and is
+           sampled at batch boundaries, outside the batch collector
+           scope: gc.* rows are Timing kind and must never enter the
+           deterministically-merged Engine section. *)
         let l =
-          { root = Rng.create ~seed; gc_probe = Ckpt_obs.Gc_telemetry.probe ();
+          { root = Rng.create ~seed; minor_probe = Ckpt_obs.Gc_telemetry.minor_probe ();
             busy_s = 0.0; wall_s = 0.0; batches = 0 }
         in
         lanes.(d) <- Some l;
@@ -128,7 +132,7 @@ let run_range team ?(store = fun _ _ -> ()) ~base ~runs ~seed sample =
             Metrics.incr m_batches;
             accs.(b) <- Some acc));
     mcols.(b) <- Some mcol;
-    Ckpt_obs.Gc_telemetry.sample l.gc_probe;
+    Ckpt_obs.Gc_telemetry.sample_minor l.minor_probe;
     l.busy_s <- l.busy_s +. Clock.elapsed_s t_batch;
     l.batches <- l.batches + 1;
     l.wall_s <- Clock.elapsed_s t_region

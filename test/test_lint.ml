@@ -108,10 +108,6 @@ let test_global_mutable =
   check_rule "unguarded-global-mutable" ~bad:"bad_global_mutable.ml" ~bad_count:6
     ~good:"good_global_mutable.ml"
 
-let test_span_scope =
-  check_rule "span-scope-safety" ~bad:"bad_span_scope.ml" ~bad_count:2
-    ~good:"good_span_scope.ml"
-
 let test_gc_stat =
   check_rule "no-direct-gc-stat" ~bad:"bad_gc_stat.ml" ~bad_count:2
     ~good:"good_gc_stat.ml"
@@ -138,7 +134,7 @@ let test_allowlist_and_severity () =
 [rule.banned-in-lib]
 allow = ["lib/bad_banned.ml"]
 
-[rule.span-scope-safety]
+[rule.no-global-random]
 severity = "warning"
 
 [rule.no-wall-clock]
@@ -148,7 +144,7 @@ severity = "off"
   Alcotest.(check int) "allowlisted file reports nothing"
     0
     (List.length (run ~config [ "lib/bad_banned.ml" ]));
-  (match run ~config [ "lib/bad_span_scope.ml" ] with
+  (match run ~config [ "lib/bad_global_random.ml" ] with
   | [] -> Alcotest.fail "downgraded rule should still report"
   | diags ->
       Alcotest.(check bool) "downgraded to warnings"
@@ -199,7 +195,6 @@ let suite =
     Alcotest.test_case "rule: no-wall-clock" `Quick test_wall_clock;
     Alcotest.test_case "rule: no-global-random" `Quick test_global_random;
     Alcotest.test_case "rule: unguarded-global-mutable" `Quick test_global_mutable;
-    Alcotest.test_case "rule: span-scope-safety" `Quick test_span_scope;
     Alcotest.test_case "rule: no-direct-gc-stat" `Quick test_gc_stat;
     Alcotest.test_case "rule: banned-in-lib" `Quick test_banned;
     Alcotest.test_case "driver: parse error diagnostic" `Quick test_parse_error;

@@ -98,40 +98,6 @@ let test_chain_at_structure () =
   (* Work of task 0 at p=16: 4000/16. *)
   close "work scaled" 250.0 chain.Ckpt_core.Chain_problem.tasks.(0).Ckpt_dag.Task.work
 
-let test_parallel_solve_bit_identical () =
-  (* The chunked domain-parallel sweep must return exactly the
-     sequential answer — makespan bit-for-bit AND the same segment
-     list — for any domain count, because chunk boundaries are fixed
-     on an absolute grid and merged in order. *)
-  let problems =
-    [ sample_problem ();
-      Moldable_chain.problem ~downtime:0.5 ~max_processors:64 ~proc_rate:5e-5
-        (List.init 37 (fun i ->
-             let workload =
-               match i mod 3 with
-               | 0 -> Moldable.Perfectly_parallel
-               | 1 -> Moldable.Amdahl 0.02
-               | _ -> Moldable.Numerical_kernel 0.1
-             in
-             mk ~workload (1000.0 +. (137.0 *. float_of_int i)))) ]
-  in
-  List.iter
-    (fun p ->
-      let reference = Moldable_chain.solve p in
-      List.iter
-        (fun domains ->
-          let par = Moldable_chain.solve ~domains p in
-          Alcotest.(check bool)
-            (Printf.sprintf "domains=%d: makespan bit-for-bit" domains)
-            true
-            (Float.equal reference.Moldable_chain.expected_makespan
-               par.Moldable_chain.expected_makespan);
-          Alcotest.(check (list (triple int int int)))
-            (Printf.sprintf "domains=%d: same segments" domains)
-            reference.Moldable_chain.segments par.Moldable_chain.segments)
-        [ 1; 2; 4; 8 ])
-    problems
-
 let qcheck_moldable_at_least_as_good_as_every_fixed =
   QCheck.Test.make ~name:"adaptive allocation dominates every fixed allocation" ~count:25
     QCheck.(pair (list_of_size (Gen.int_range 1 5) (float_range 1000.0 20000.0))
@@ -172,7 +138,5 @@ let suite =
     Alcotest.test_case "amdahl prefers fewer processors" `Quick
       test_amdahl_task_prefers_fewer_processors;
     Alcotest.test_case "chain_at structure" `Quick test_chain_at_structure;
-    Alcotest.test_case "parallel solve bit-identical" `Quick
-      test_parallel_solve_bit_identical;
     QCheck_alcotest.to_alcotest qcheck_moldable_at_least_as_good_as_every_fixed;
   ]

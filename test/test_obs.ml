@@ -232,23 +232,29 @@ let test_span_exception_unwinding_across_domains () =
 
 let test_gc_telemetry_probe () =
   Metrics.reset ();
+  let minor = Ckpt_obs.Gc_telemetry.minor_probe () in
   let probe = Ckpt_obs.Gc_telemetry.probe () in
-  (* Allocate, then force a minor collection: quick_stat's minor_words
-     only advances at collection boundaries, so an uncollected burst
-     would read as a zero delta. *)
+  (* Allocate, then force a minor collection so the process-wide probe
+     has a collection to count. *)
   let keep = ref [] in
   for i = 1 to 50_000 do
     keep := (i, float_of_int i) :: !keep
   done;
   ignore (Sys.opaque_identity !keep);
   Gc.minor ();
+  Ckpt_obs.Gc_telemetry.sample_minor minor;
   Ckpt_obs.Gc_telemetry.sample probe;
   let snap = Metrics.snapshot () in
+  (* 50 000 cons cells of a boxed pair: at least 8 words each. *)
   (match Metrics.find snap "gc.minor_words" with
   | Some (Metrics.Timing, Metrics.Sum w) ->
-      Alcotest.(check bool) "allocation visible in gc.minor_words" true (w > 0.0)
+      Alcotest.(check bool) "allocation visible in gc.minor_words" true (w >= 400_000.0)
   | Some _ -> Alcotest.fail "gc.minor_words has the wrong class or kind"
   | None -> Alcotest.fail "gc.minor_words not registered");
+  (match Metrics.find snap "gc.minor_collections" with
+  | Some (Metrics.Timing, Metrics.Counter c) ->
+      Alcotest.(check bool) "forced collection counted" true (c >= 1)
+  | _ -> Alcotest.fail "gc.minor_collections not a Timing counter");
   (match Metrics.find snap "gc.heap_words" with
   | Some (Metrics.Timing, Metrics.Gauge (Some w)) ->
       Alcotest.(check bool) "heap gauge positive" true (w > 0.0)
@@ -260,7 +266,7 @@ let test_gc_telemetry_probe () =
     | Some (_, Metrics.Sum w) -> w
     | _ -> 0.0
   in
-  Ckpt_obs.Gc_telemetry.sample probe;
+  Ckpt_obs.Gc_telemetry.sample_minor minor;
   (match Metrics.find (Metrics.snapshot ()) "gc.minor_words" with
   | Some (_, Metrics.Sum w) ->
       Alcotest.(check bool) "re-armed sample adds less than the first burst" true

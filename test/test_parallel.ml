@@ -276,6 +276,32 @@ let test_domain_batch_gauges_sum () =
     [ 1; 2; 3 ];
   Ckpt_obs.Metrics.reset ()
 
+let test_gc_minor_words_per_run () =
+  (* Each lane reports only its own domain's allocation, so a fixed
+     campaign allocates the same words per run whatever the team size.
+     Gc.quick_stat is process-wide on OCaml 5.1: per-lane quick_stat
+     deltas would scale the row with the domain count. *)
+  let runs = 20_000 in
+  let words_per_run domains =
+    Ckpt_obs.Metrics.reset ();
+    ignore
+      (Parallel_exec.estimate ~domains ~runs ~seed:5L (fun r _ ->
+           float_of_int (List.length (Sys.opaque_identity (List.init 16 (fun i -> i + r))))));
+    match Ckpt_obs.Metrics.find (Ckpt_obs.Metrics.snapshot ()) "gc.minor_words" with
+    | Some (Ckpt_obs.Metrics.Timing, Ckpt_obs.Metrics.Sum w) -> w /. float_of_int runs
+    | _ -> Alcotest.fail "gc.minor_words is not a Timing sum"
+  in
+  let reference = words_per_run 1 in
+  Alcotest.(check bool) "the campaign allocates" true (reference > 16.0);
+  List.iter
+    (fun domains ->
+      let w = words_per_run domains in
+      if Float.abs (w -. reference) > 0.1 *. reference then
+        Alcotest.failf "gc.minor_words/run %.1f at %d domains vs %.1f at 1" w domains
+          reference)
+    [ 2; 4 ];
+  Ckpt_obs.Metrics.reset ()
+
 let test_invalid_arguments () =
   let sample _ _ = 0.0 in
   Alcotest.check_raises "zero runs" (Invalid_argument "Parallel_exec: runs must be positive")
@@ -322,5 +348,7 @@ let suite =
       test_failed_team_create_leaks_no_domain;
     Alcotest.test_case "per-domain batch gauges sum to the batch count" `Quick
       test_domain_batch_gauges_sum;
+    Alcotest.test_case "gc.minor_words per run is domain-count independent" `Quick
+      test_gc_minor_words_per_run;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
   ]

@@ -8,6 +8,8 @@ module Task = Ckpt_dag.Task
 module Chain_problem = Ckpt_core.Chain_problem
 module Chain_dp = Ckpt_core.Chain_dp
 module Schedule = Ckpt_core.Schedule
+module Moldable = Ckpt_core.Moldable
+module Moldable_chain = Ckpt_core.Moldable_chain
 module Protocol = Ckpt_serve.Protocol
 module Framing = Ckpt_serve.Protocol.Framing
 module Plan_cache = Ckpt_serve.Plan_cache
@@ -336,34 +338,91 @@ let test_engine_other_methods () =
   (match Option.bind (Json.member "expected_makespan" result) Json.to_float with
   | Some _ -> ()
   | None -> Alcotest.fail "independent: no makespan");
+  (* Served moldable plans equal offline plans bit for bit, the
+     plan_chain contract applied to plan_moldable: every workload
+     model, one task with its own recovery model, and a failure rate
+     at which the optimal allocations differ across segments. *)
+  let works = [ 2000.0; 3000.0; 2500.0; 4000.0; 1500.0 ] in
+  let workload_json i =
+    match i mod 3 with
+    | 0 -> Json.Obj [ ("model", Json.String "perfect") ]
+    | 1 -> Json.Obj [ ("model", Json.String "amdahl"); ("gamma", Json.Number 0.02) ]
+    | _ -> Json.Obj [ ("model", Json.String "numerical"); ("gamma", Json.Number 0.1) ]
+  in
+  let workload i =
+    match i mod 3 with
+    | 0 -> Moldable.Perfectly_parallel
+    | 1 -> Moldable.Amdahl 0.02
+    | _ -> Moldable.Numerical_kernel 0.1
+  in
   let moldable_params =
     Json.Obj
       [
-        ("proc_rate", Json.Number 1e-6);
+        ("proc_rate", Json.Number 2e-3);
         ("max_processors", Json.Number 64.0);
         ("downtime", Json.Number 5.0);
+        ("initial_recovery", Json.Number 20.0);
         ( "tasks",
           Json.List
-            (List.map
-               (fun w ->
+            (List.mapi
+               (fun i w ->
                  Json.Obj
-                   [
-                     ("total_work", Json.Number w);
-                     ( "checkpoint",
-                       Json.Obj
-                         [
-                           ("model", Json.String "proportional");
-                           ("alpha_v", Json.Number 50.0);
-                         ] );
-                   ])
-               [ 2000.0; 3000.0; 2500.0 ]) );
+                   ([
+                      ("total_work", Json.Number w);
+                      ("workload", workload_json i);
+                      ( "checkpoint",
+                        Json.Obj
+                          [
+                            ("model", Json.String "proportional");
+                            ("alpha_v", Json.Number 50.0);
+                          ] );
+                    ]
+                   @
+                   if i = 3 then
+                     [
+                       ( "recovery",
+                         Json.Obj
+                           [ ("model", Json.String "constant"); ("alpha_v", Json.Number 8.0) ]
+                       );
+                     ]
+                   else []))
+               works) );
       ]
+  in
+  let offline =
+    Moldable_chain.solve
+      (Moldable_chain.problem ~downtime:5.0 ~initial_recovery:20.0 ~max_processors:64
+         ~proc_rate:2e-3
+         (List.mapi
+            (fun i w ->
+              let recovery = if i = 3 then Some (Moldable.Constant 8.0) else None in
+              Moldable_chain.task ?recovery ~workload:(workload i) ~total_work:w
+                ~checkpoint:(Moldable.Proportional 50.0) ())
+            works))
   in
   let result =
     result_of (Engine.handle engine (request ~params:moldable_params "m1" "plan_moldable"))
   in
+  (match Option.bind (Json.member "expected_makespan" result) Json.to_float with
+  | Some served ->
+      Alcotest.(check bool)
+        "moldable makespan bit-identical to Moldable_chain.solve" true
+        (Float.equal served offline.Moldable_chain.expected_makespan)
+  | None -> Alcotest.fail "moldable: expected_makespan missing");
+  let segment json =
+    match
+      List.map
+        (fun key -> Option.bind (Json.member key json) Json.to_int)
+        [ "first"; "last"; "processors" ]
+    with
+    | [ Some first; Some last; Some processors ] -> (first, last, processors)
+    | _ -> Alcotest.fail "moldable: malformed segment"
+  in
   match Option.bind (Json.member "segments" result) Json.to_list with
-  | Some (_ :: _) -> ()
+  | Some (_ :: _ as segments) ->
+      Alcotest.(check (list (triple int int int)))
+        "moldable segments identical to Moldable_chain.solve"
+        offline.Moldable_chain.segments (List.map segment segments)
   | _ -> Alcotest.fail "moldable: no segments"
 
 (* --- server over a real socket --------------------------------------- *)
