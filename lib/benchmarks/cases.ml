@@ -188,7 +188,8 @@ let all ~quick =
   in
   (* The complexity gate for the SMAWK claim, in the scenario-monitor
      style (failwith is a bench crash, not a silent timing): per-task
-     transition counts must stay flat across a 16x size span, and at
+     transition counts must stay flat across a 16x size span, the solve
+     at 51200 tasks must allocate at most 1 minor word per task, and at
      12800 tasks SMAWK must spend strictly fewer transitions than
      [dc_transitions_12800]. Counter deltas are read from snapshots
      without Metrics.reset, so the run-wide totals in the committed
@@ -213,16 +214,21 @@ let all ~quick =
     let problems = List.map (fun n -> (n, chain_problem n)) sizes in
     [
       macro ~repeats:3 "chain-dp-smawk-linearity" [ "dp"; "smawk" ] (fun () ->
-          let per_task =
+          (* Per size: transitions and minor words per task. *)
+          let measured =
             List.map
               (fun (n, problem) ->
+                let words = ref 0.0 in
                 let t =
                   delta "dp.smawk_transitions" (fun () ->
-                      ignore (Chain_dp.solve_smawk problem))
+                      let before = Gc.minor_words () in
+                      ignore (Chain_dp.solve_smawk problem);
+                      words := Gc.minor_words () -. before)
                 in
-                float_of_int t /. float_of_int n)
+                (float_of_int t /. float_of_int n, !words /. float_of_int n))
               problems
           in
+          let per_task = List.map fst measured in
           List.iter2
             (fun n r ->
               if r > 60.0 then
@@ -230,6 +236,15 @@ let all ~quick =
                   (Printf.sprintf
                      "smawk linearity: %.1f transitions/task at n=%d (bound 60)" r n))
             sizes per_task;
+          (* Allocation, read on the largest size's solve: the tables
+             live off-heap and the index sets in one per-solve
+             workspace, so a solve's minor words do not grow with n. *)
+          (match (List.nth sizes 2, snd (List.nth measured 2)) with
+          | n, words when words > 1.0 ->
+              failwith
+                (Printf.sprintf "smawk allocation: %.2f minor words/task at n=%d (bound 1)"
+                   words n)
+          | _ -> ());
           (match (List.hd per_task, List.nth per_task 2) with
           | r_small, r_large when r_large > 2.0 *. r_small ->
               failwith

@@ -39,7 +39,9 @@ val solve_smawk : Chain_problem.t -> solution
     checkpoint instances, where optimal segment lengths grow like √n
     (the bench suite gates the measured [dp.smawk_transitions] growth).
     Work is counted by the [dp.smawk_states]/[dp.smawk_transitions]
-    metrics (in addition to the shared [dp.*] ones).
+    metrics (in addition to the shared [dp.*] ones). Allocates O(1)
+    minor-heap words per solve, whatever n: the tables are off-heap and
+    every SMAWK index set is a slice of one per-solve workspace.
 
     Agreement contract: identical transition expressions and a
     leftmost-on-ties fold make the result {e bit-for-bit} equal to

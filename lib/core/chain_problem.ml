@@ -20,19 +20,29 @@ let build ~downtime ~initial_recovery ~lambda tasks =
   for i = 0 to n - 1 do
     prefix_work.(i + 1) <- prefix_work.(i) +. tasks.(i).Task.work
   done;
+  (* Plain loops: an [Array.map]/[Array.init] closure returns each
+     float boxed. *)
+  let checkpoint_costs = Array.create_float n in
+  let recovery_costs = Array.create_float n in
+  recovery_costs.(0) <- initial_recovery;
+  for i = 0 to n - 1 do
+    checkpoint_costs.(i) <- tasks.(i).Task.checkpoint_cost;
+    if i > 0 then recovery_costs.(i) <- tasks.(i - 1).Task.recovery_cost
+  done;
   (* Task costs are validated by Task.make (non-negative), λ/D/R0 just
      above — the kernel's no-validation contract holds. *)
   let kernel =
-    Segment_cost.create ~lambda ~downtime ~prefix_work
-      ~checkpoint_costs:(Array.map (fun task -> task.Task.checkpoint_cost) tasks)
-      ~recovery_costs:
-        (Array.init n (fun i ->
-             if i = 0 then initial_recovery else tasks.(i - 1).Task.recovery_cost))
+    Segment_cost.create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs
   in
   { tasks; lambda; downtime; initial_recovery; prefix_work; kernel }
 
 let make ?(downtime = 0.0) ?(initial_recovery = 0.0) ~lambda task_list =
-  let tasks = Array.of_list (List.mapi (fun i task -> Task.with_id task i) task_list) in
+  let tasks = Array.of_list task_list in
+  (* A task already at its position (as [Dag.is_chain] returns them)
+     is shared, not copied. *)
+  Array.iteri
+    (fun i (task : Task.t) -> if task.Task.id <> i then tasks.(i) <- Task.with_id task i)
+    tasks;
   build ~downtime ~initial_recovery ~lambda tasks
 
 let of_dag ?downtime ?initial_recovery ~lambda dag =

@@ -9,9 +9,9 @@
     array per field (choice), in C layout — contiguous, unboxed,
     invisible to the GC — and index them directly.
 
-    Accessors here are {e unchecked} ([Bigarray.Array1.unsafe_get]):
-    they exist for DP inner loops whose loop structure already
-    establishes the bounds. Out-of-range indices are undefined
+    Accessors here are {e unchecked} (the [Bigarray.Array1.unsafe_get]
+    primitive): they exist for DP inner loops whose loop structure
+    already establishes the bounds. Out-of-range indices are undefined
     behaviour; use them only under that discipline.
 
     Tables are created per solve and must stay function-local (or be
@@ -30,16 +30,18 @@ val ints : ?init:int -> int -> ints
 (** [ints n] is a fresh length-[n] int table filled with [init]
     (default [0]). Raises [Invalid_argument] if [n < 0]. *)
 
-val fget : floats -> int -> float
-(** Unchecked read. *)
+external fget : floats -> int -> float = "%caml_ba_unsafe_ref_1"
+(** Unchecked read. Declared as the primitive itself so that every
+    caller compiles it to one unboxed load — no call, no boxed float —
+    whatever the caller's optimisation flags. *)
 
-val fset : floats -> int -> float -> unit
+external fset : floats -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 (** Unchecked write. *)
 
-val iget : ints -> int -> int
+external iget : ints -> int -> int = "%caml_ba_unsafe_ref_1"
 (** Unchecked read. *)
 
-val iset : ints -> int -> int -> unit
+external iset : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 (** Unchecked write. *)
 
 val to_float_array : floats -> float array

@@ -27,12 +27,22 @@ let create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs =
     invalid_arg "Segment_cost.create: prefix_work must have length n + 1";
   if Array.length recovery_costs <> n then
     invalid_arg "Segment_cost.create: recovery_costs must have length n";
-  let lam_prefix = Array.map (fun w -> lambda *. w) prefix_work in
-  let lam_ckpt = Array.map (fun c -> lambda *. c) checkpoint_costs in
+  (* Tables are filled by plain loops: an [Array.map]/[Array.init]
+     closure returns each element boxed. *)
+  let lam_prefix = Array.create_float (n + 1) in
+  for i = 0 to n do
+    lam_prefix.(i) <- lambda *. prefix_work.(i)
+  done;
+  let lam_ckpt = Array.create_float n in
+  let pre = Array.create_float n in
   let inv_lambda_plus_d = (1.0 /. lambda) +. downtime in
-  let pre = Array.map (fun r -> exp (lambda *. r) *. inv_lambda_plus_d) recovery_costs in
-  let max_lam_ckpt = Array.fold_left Float.max 0.0 lam_ckpt in
-  let lam_span = lam_prefix.(n) +. max_lam_ckpt in
+  let max_lam_ckpt = ref 0.0 in
+  for i = 0 to n - 1 do
+    lam_ckpt.(i) <- lambda *. checkpoint_costs.(i);
+    max_lam_ckpt := Float.max !max_lam_ckpt lam_ckpt.(i);
+    pre.(i) <- exp (lambda *. recovery_costs.(i)) *. inv_lambda_plus_d
+  done;
+  let lam_span = lam_prefix.(n) +. !max_lam_ckpt in
   let tables = lam_span <= overflow_cutoff in
   (* The product form computes e^a − 1 from three table entries whose
      combined relative error is O(lam_span·ε); dividing by a bounds the
@@ -41,9 +51,22 @@ let create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs =
      (floored at 1e-6 so tiny chains still take the cheap path only
      where it is exact enough). *)
   let small_threshold = Float.max 1e-6 (lam_span *. 1e-5) in
-  let e_prefix = if tables then Array.map exp lam_prefix else [||] in
-  let inv_e_prefix = if tables then Array.map (fun a -> exp (-.a)) lam_prefix else [||] in
-  let e_ckpt = if tables then Array.map exp lam_ckpt else [||] in
+  let e_prefix, inv_e_prefix, e_ckpt =
+    if not tables then ([||], [||], [||])
+    else begin
+      let e_prefix = Array.create_float (n + 1) in
+      let inv_e_prefix = Array.create_float (n + 1) in
+      for i = 0 to n do
+        e_prefix.(i) <- exp lam_prefix.(i);
+        inv_e_prefix.(i) <- exp (-.lam_prefix.(i))
+      done;
+      let e_ckpt = Array.create_float n in
+      for i = 0 to n - 1 do
+        e_ckpt.(i) <- exp lam_ckpt.(i)
+      done;
+      (e_prefix, inv_e_prefix, e_ckpt)
+    end
+  in
   {
     lambda;
     downtime;
@@ -72,10 +95,9 @@ let growth t ~first ~last =
 
 let cost t ~first ~last = t.pre.(first) *. growth t ~first ~last
 
-(* Unchecked variants for DP inner loops whose loop structure already
-   establishes 0 <= first <= last < n. Same float expressions as
-   {!growth}/{!cost} — the solvers' bit-for-bit agreement contract
-   depends on that — only the bounds checks are elided. *)
+(* Unchecked variant for DP inner loops whose loop structure already
+   establishes 0 <= first <= last < n. Same float expression as
+   {!growth}, only the bounds checks are elided. *)
 let growth_unsafe t ~first ~last =
   let a =
     Array.unsafe_get t.lam_prefix (last + 1)
@@ -88,9 +110,6 @@ let growth_unsafe t ~first ~last =
     *. Array.unsafe_get t.inv_e_prefix first
     -. 1.0
   else Float.expm1 a
-
-let cost_unsafe t ~first ~last =
-  Array.unsafe_get t.pre first *. growth_unsafe t ~first ~last
 
 let reference_cost t ~first ~last =
   Expected_time.expected_unchecked

@@ -37,7 +37,27 @@
       up to λ·(W+C) ≈ 709 and overflow to [infinity] together beyond
       it. *)
 
-type t
+type t = private {
+  lambda : float;
+  downtime : float;
+  prefix_work : float array;  (** n+1 raw prefix sums, for the reference path. *)
+  checkpoint_costs : float array;  (** n: C_j. *)
+  recovery_costs : float array;  (** n: recovery paid by a segment starting at i. *)
+  lam_prefix : float array;  (** n+1: λ·prefix_work. *)
+  lam_ckpt : float array;  (** n: λ·C_j. *)
+  e_prefix : float array;  (** n+1: e^(λ·prefix_work); empty in reference mode. *)
+  inv_e_prefix : float array;  (** n+1: e^(−λ·prefix_work); empty in reference mode. *)
+  e_ckpt : float array;  (** n: e^(λ·C_j); empty in reference mode. *)
+  pre : float array;  (** n: e^(λ·R_i)·(1/λ + D). *)
+  tables : bool;  (** See {!uses_tables}. *)
+  small_threshold : float;  (** See {!small_threshold}. *)
+}
+(** The tables, read-only outside this module. They are exposed so that
+    a DP inner loop can evaluate {!cost}'s expression in its own
+    compilation unit: a cross-module call returning a float boxes it
+    when the library is compiled [-opaque] (dune's dev profile).
+    [Chain_dp] does so, bit-for-bit; a property test pins its values
+    to {!cost}. *)
 
 val create :
   lambda:float ->
@@ -61,25 +81,20 @@ val size : t -> int
 
 val cost : t -> first:int -> last:int -> float
 (** The Proposition 1 expected duration of the segment executing tasks
-    [first..last] and checkpointing after [last]. O(1), no allocation,
-    no transcendental call on the table path. Bounds are {e not}
-    validated — this is the DP inner-loop entry point; the validating
-    public API is [Chain_problem.segment_expected]. *)
-
-val cost_unsafe : t -> first:int -> last:int -> float
-(** Exactly {!cost} — same float expression, bit-for-bit — with the
-    array bounds checks elided ([Array.unsafe_get]). For DP inner loops
-    whose loop structure already establishes
-    [0 <= first <= last < size t]; passing anything else is undefined
-    behaviour. *)
+    [first..last] and checkpointing after [last]. O(1), no
+    transcendental call on the table path. Bounds are {e not}
+    validated beyond the array accesses' own checks; the validating
+    public API is [Chain_problem.segment_expected]. The chain solvers
+    inline this same expression over the record's fields (see {!t}). *)
 
 val growth_unsafe : t -> first:int -> last:int -> float
 (** The failure-growth factor [e^(λ·(W(first,last) + C_last)) − 1]
     alone, without the [pre.(first)] recovery/downtime factor — for
     callers whose recovery cost depends on DP state rather than on
     position (the moldable-chain DP hoists its own
-    [e^(λR)·(1/λ + D)] factor). Bounds checks elided; same contract as
-    {!cost_unsafe}. *)
+    [e^(λR)·(1/λ + D)] factor). Bounds checks elided: the caller must
+    establish [0 <= first <= last < size t]; anything else is
+    undefined behaviour. *)
 
 val reference_cost : t -> first:int -> last:int -> float
 (** The reference evaluation — fresh [exp]/[expm1] per call, the exact

@@ -98,11 +98,12 @@ let is_chain t =
   let n = size t in
   if n = 0 then Some []
   else begin
-    let degrees_ok =
-      Array.for_all (fun i -> List.length t.succs.(i) <= 1 && List.length t.preds.(i) <= 1)
-        (Array.init n Fun.id)
-    in
-    if not degrees_ok then None
+    let degrees_ok = ref true in
+    for i = 0 to n - 1 do
+      if List.length t.succs.(i) > 1 || List.length t.preds.(i) > 1 then
+        degrees_ok := false
+    done;
+    if not !degrees_ok then None
     else
       match sources t with
       | [ start ] ->

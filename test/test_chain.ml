@@ -250,6 +250,25 @@ let test_smawk_fallback_on_nonmonotone () =
   in
   Alcotest.(check int) "one smawk fallback counted" 1 (counter "dp.smawk_fallbacks")
 
+(* [random_problem] with, when [spike], a recovery spike wider than
+   any task weight at n / 2, which knocks out the Monge certificate. *)
+let maybe_spiked_problem ~seed ~n ~spike =
+  let p0 = random_problem (Int64.of_int seed) n in
+  if not spike then p0
+  else begin
+    let tasks =
+      List.mapi
+        (fun i (t : Task.t) ->
+          if i = n / 2 then
+            Task.with_costs t ~checkpoint_cost:t.Task.checkpoint_cost
+              ~recovery_cost:(t.Task.recovery_cost +. 1_000.0)
+          else t)
+        (Array.to_list p0.Chain_problem.tasks)
+    in
+    Chain_problem.make ~downtime:0.3 ~initial_recovery:0.5 ~lambda:p0.Chain_problem.lambda
+      tasks
+  end
+
 let qcheck_smawk_agreement =
   (* Agreement property: solve_smawk ≡ solve bit for bit, makespan and
      schedule, on random Monge instances and on adversarial non-Monge
@@ -257,29 +276,83 @@ let qcheck_smawk_agreement =
   QCheck.Test.make ~name:"smawk = iterative DP (Monge and non-Monge)" ~count:120
     QCheck.(triple (int_range 1 80) (int_range 0 10_000) bool)
     (fun (n, seed, spike) ->
-      let p0 = random_problem (Int64.of_int (seed + 314_000)) n in
-      let p =
-        if not spike then p0
-        else begin
-          (* Knock out the certificate with a recovery spike wider than
-             any task weight. *)
-          let tasks =
-            List.mapi
-              (fun i (t : Task.t) ->
-                if i = n / 2 then
-                  Task.with_costs t ~checkpoint_cost:t.Task.checkpoint_cost
-                    ~recovery_cost:(t.Task.recovery_cost +. 1_000.0)
-                else t)
-              (Array.to_list p0.Chain_problem.tasks)
-          in
-          Chain_problem.make ~downtime:0.3 ~initial_recovery:0.5
-            ~lambda:p0.Chain_problem.lambda tasks
-        end
-      in
+      let p = maybe_spiked_problem ~seed:(seed + 314_000) ~n ~spike in
       let dp = Chain_dp.solve p in
       let smawk = Chain_dp.solve_smawk p in
       Float.equal smawk.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
       && Schedule.equal smawk.Chain_dp.schedule dp.Chain_dp.schedule)
+
+let qcheck_transition_is_segment_cost =
+  (* The DP inner loops evaluate the segment cost in Chain_dp's own
+     compilation unit. Pin that copy to Segment_cost.cost: every value
+     of the table is the leftmost strict-< minimum of the recurrence
+     evaluated through the public kernel entry point, bit for bit. *)
+  QCheck.Test.make ~name:"DP transitions = Segment_cost.cost (Monge and non-Monge)"
+    ~count:120
+    QCheck.(triple (int_range 1 60) (int_range 0 10_000) bool)
+    (fun (n, seed, spike) ->
+      let p = maybe_spiked_problem ~seed:(seed + 271_000) ~n ~spike in
+      let kernel = Chain_problem.kernel p in
+      let values = Chain_dp.dp_values p in
+      let ok = ref true in
+      for x = 0 to n - 1 do
+        let best = ref infinity in
+        for j = x to n - 1 do
+          let cur = Ckpt_core.Segment_cost.cost kernel ~first:x ~last:j +. values.(j + 1) in
+          if cur < !best then best := cur
+        done;
+        if not (Float.equal values.(x) !best) then ok := false
+      done;
+      !ok)
+
+(* --- Allocation contracts ------------------------------------------ *)
+
+(* The solvers' heap traffic is their tables, the schedule and O(1)
+   bookkeeping; nothing per transition. Large tables and arrays go
+   straight to the major heap, so the minor words of one solve stay
+   under a constant whatever n. *)
+let minor_word_bound = 4_096.0
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* λ scaled to the chain length keeps λ·W in the kernel's table range,
+   so the certificate holds and solve_smawk takes the SMAWK path. *)
+let scaled_problem ~seed n =
+  let rng = Rng.create ~seed in
+  let dag = Generate.chain rng (Generate.uniform_costs ()) ~n in
+  Chain_problem.of_dag ~downtime:0.3 ~initial_recovery:0.5
+    ~lambda:(Rng.float_range rng 1.0 20.0 /. float_of_int n)
+    dag
+
+let check_allocation name f =
+  (* One warm-up call first: metric registration grows its tables
+     lazily, once per process. *)
+  ignore (Sys.opaque_identity (f ()));
+  let words = minor_words f in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f minor words, bound %.0f" name words minor_word_bound)
+    true (words < minor_word_bound)
+
+let test_smawk_allocation () =
+  List.iter
+    (fun n ->
+      let p = scaled_problem ~seed:(Int64.of_int (8_800 + n)) n in
+      Alcotest.(check bool) (Printf.sprintf "n=%d: SMAWK path" n) true
+        (Ckpt_core.Segment_cost.supports_monotone_dc (Chain_problem.kernel p));
+      check_allocation
+        (Printf.sprintf "solve_smawk n=%d" n)
+        (fun () -> Chain_dp.solve_smawk p))
+    [ 10_000; 100_000 ]
+
+let test_sweep_and_budget_allocation () =
+  let p = scaled_problem ~seed:8_801L 2_000 in
+  check_allocation "solve n=2000" (fun () -> Chain_dp.solve p);
+  let p = scaled_problem ~seed:8_802L 400 in
+  check_allocation "solve_with_budget n=400 k=8" (fun () ->
+      Chain_dp.solve_with_budget p ~checkpoints:8)
 
 let test_dp_extreme_rates () =
   (* Large lambda: checkpoint after every task is optimal.
@@ -421,6 +494,9 @@ let suite =
     Alcotest.test_case "SMAWK = iterative DP" `Quick test_smawk_matches_solve;
     Alcotest.test_case "SMAWK ties and block sizes" `Quick test_smawk_ties_and_blocks;
     Alcotest.test_case "SMAWK fallback" `Quick test_smawk_fallback_on_nonmonotone;
+    Alcotest.test_case "SMAWK allocates O(1) minor words" `Quick test_smawk_allocation;
+    Alcotest.test_case "sweep and budget DP allocate O(1) minor words" `Quick
+      test_sweep_and_budget_allocation;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "budget-constrained DP" `Quick test_budget_dp;
@@ -428,6 +504,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_budget_matches_filtered_brute_force;
     QCheck_alcotest.to_alcotest qcheck_dp_optimal;
     QCheck_alcotest.to_alcotest qcheck_smawk_agreement;
+    QCheck_alcotest.to_alcotest qcheck_transition_is_segment_cost;
     QCheck_alcotest.to_alcotest qcheck_dp_below_heuristics;
     QCheck_alcotest.to_alcotest qcheck_schedule_segments_cover;
   ]
