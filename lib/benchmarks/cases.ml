@@ -33,6 +33,11 @@ let mc_scaling_estimate ~quick ~domains =
   Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.01)
     ~downtime:1.0 ~runs:(if quick then 10_000 else 100_000) ~rng segments
 
+(* A Prop 1 run's heap traffic is its substream, its failure stream and
+   a few boxed times per failure query: ~66 minor words, where a string
+   label, boxed generator state and event records per run cost ~400. *)
+let mc_words_per_run_bound = 96.0
+
 let assert_mc_deterministic ~quick =
   let fields (e : Monte_carlo.estimate) =
     [
@@ -40,7 +45,14 @@ let assert_mc_deterministic ~quick =
       ("runs", float_of_int e.runs);
     ]
   in
-  let reference = fields (mc_scaling_estimate ~quick ~domains:1) in
+  let before = Gc.minor_words () in
+  let estimate = mc_scaling_estimate ~quick ~domains:1 in
+  let words = (Gc.minor_words () -. before) /. float_of_int estimate.runs in
+  if words > mc_words_per_run_bound then
+    failwith
+      (Printf.sprintf "Monte-Carlo allocation: %.1f minor words/run at 1 domain (bound %.0f)"
+         words mc_words_per_run_bound);
+  let reference = fields estimate in
   List.iter
     (fun domains ->
       List.iter2

@@ -36,6 +36,7 @@ val assert_mc_deterministic : quick:bool -> unit
     runs in quick mode, 100 000 in full): the estimate at 2, 3, 4 and 8
     domains must equal the 1-domain estimate bit for bit (mean,
     stddev, min, max and run count, compared with [Float.equal]);
-    raises [Failure] otherwise. Run by [ckpt-bench run] and
-    [ckpt-bench check] so a determinism break can never hide behind a
-    green timing gate. *)
+    raises [Failure] otherwise. The 1-domain campaign is also an
+    allocation gate: above 96 minor words per run it raises [Failure].
+    Run by [ckpt-bench run] and [ckpt-bench check] so a determinism or
+    allocation break can never hide behind a green timing gate. *)

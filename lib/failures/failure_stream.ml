@@ -3,8 +3,6 @@ module Law = Ckpt_dist.Law
 
 type rejuvenation = Failed_only | All_processors
 
-type poisson_state = { rate : float; p_rng : Rng.t; mutable next : float }
-
 type renewal_state = {
   law : Law.t;
   rejuvenation : rejuvenation;
@@ -15,7 +13,9 @@ type renewal_state = {
 type replay_state = { times : float array; mutable cursor : int }
 
 type state =
-  | Poisson of poisson_state
+  | Poisson of { rate : float; p_rng : Rng.t; mutable next : float }
+      (* Inline, so a Poisson stream (one per Monte Carlo run) is one
+         block rather than two. *)
   | Renewal of renewal_state
   | Replay of replay_state
 
@@ -95,9 +95,11 @@ let next_after t time =
          inside a skipped window), redraw from the query point. *)
       if p.next > time then p.next
       else begin
-        let fresh = time -. (log (Rng.float_pos p.p_rng) /. p.rate) in
-        p.next <- fresh;
-        fresh
+        (* Return the stored field, not the local: the fresh time is then
+           boxed once, for the store, rather than once more for the
+           return. *)
+        p.next <- time -. (log (Rng.float_pos p.p_rng) /. p.rate);
+        p.next
       end
   | Renewal r -> renewal_next_after r time
   | Replay r ->

@@ -86,68 +86,31 @@ let create_collector () =
 
 let grown_len len n = Stdlib.max n ((2 * len) + 8)
 
-let ensure_int a n =
-  if Array.length !a >= n then ()
-  else begin
-    let b = Array.make (grown_len (Array.length !a) n) 0 in
-    Array.blit !a 0 b 0 (Array.length !a);
-    a := b
-  end
+(* Growth returns the widened array for the caller to store in place:
+   the emission path only tests a length, and allocates nothing once
+   the collector is as wide as the registry. *)
+let grown a n zero =
+  let b = Array.make (grown_len (Array.length a) n) zero in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let ensure_float a n =
-  if Array.length !a >= n then ()
-  else begin
-    let b = Array.make (grown_len (Array.length !a) n) 0.0 in
-    Array.blit !a 0 b 0 (Array.length !a);
-    a := b
-  end
-
-let ensure_bool a n =
-  if Array.length !a >= n then ()
-  else begin
-    let b = Array.make (grown_len (Array.length !a) n) false in
-    Array.blit !a 0 b 0 (Array.length !a);
-    a := b
-  end
-
-let ensure_arr a n =
-  if Array.length !a >= n then ()
-  else begin
-    let b = Array.make (grown_len (Array.length !a) n) [||] in
-    Array.blit !a 0 b 0 (Array.length !a);
-    a := b
-  end
-
-(* Field-by-field growth through local refs (records hold arrays, not
-   refs, to keep emission reads direct). *)
 let ensure_counter c n =
-  let r = ref c.counters in
-  ensure_int r n;
-  c.counters <- !r
+  if Array.length c.counters < n then c.counters <- grown c.counters n 0
 
-let ensure_sum c n =
-  let r = ref c.sums in
-  ensure_float r n;
-  c.sums <- !r
+let ensure_sum c n = if Array.length c.sums < n then c.sums <- grown c.sums n 0.0
 
 let ensure_gauge c n =
-  let r = ref c.gauges in
-  ensure_float r n;
-  c.gauges <- !r;
-  let r = ref c.gauge_set in
-  ensure_bool r n;
-  c.gauge_set <- !r
+  if Array.length c.gauges < n then begin
+    c.gauges <- grown c.gauges n 0.0;
+    c.gauge_set <- grown c.gauge_set n false
+  end
 
 let ensure_hist c n =
-  let r = ref c.hist_counts in
-  ensure_arr r n;
-  c.hist_counts <- !r;
-  let r = ref c.hist_total in
-  ensure_float r n;
-  c.hist_total <- !r;
-  let r = ref c.hist_obs in
-  ensure_int r n;
-  c.hist_obs <- !r
+  if Array.length c.hist_counts < n then begin
+    c.hist_counts <- grown c.hist_counts n [||];
+    c.hist_total <- grown c.hist_total n 0.0;
+    c.hist_obs <- grown c.hist_obs n 0
+  end
 
 (* Shards: every domain's default collector, in creation order (the
    merge order of [snapshot]). Kept alive past domain death so campaign
@@ -187,10 +150,12 @@ let set id x =
   c.gauges.(id) <- x;
   c.gauge_set.(id) <- true
 
-let bucket_index buckets v =
-  let n = Array.length buckets in
-  let rec go i = if i >= n then n else if v <= buckets.(i) then i else go (i + 1) in
-  go 0
+let bucket_index (buckets : float array) (v : float) =
+  let i = ref 0 in
+  while !i < Array.length buckets && not (v <= buckets.(!i)) do
+    i := !i + 1
+  done;
+  !i
 
 let observe h v =
   let c = current () in

@@ -8,13 +8,18 @@ let substream t label =
 
 let split t = { t with gen = Xoshiro256.split t.gen }
 
-let substream_run t run = substream t ("run-" ^ string_of_int run)
+let substream_run t run =
+  if run < 0 then substream t ("run-" ^ string_of_int run)
+  else begin
+    let sub_seed = Splitmix64.of_label_nat t.seed "run-" run in
+    { gen = Xoshiro256.create sub_seed; seed = sub_seed }
+  end
 
 let int64 t = Xoshiro256.next_int64 t.gen
 
-let float t =
+let[@inline] float t =
   (* Top 53 bits give a uniform dyadic rational in [0,1). *)
-  Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1.0p-53
+  float_of_int (Xoshiro256.next_top53 t.gen) *. 0x1.0p-53
 
 let float_pos t = 1.0 -. float t
 

@@ -22,6 +22,8 @@ val split : t -> t
 val substream_run : t -> int -> t
 (** [substream_run t r] is [substream t ("run-" ^ string_of_int r)]:
     the canonical per-replication substream of the Monte-Carlo drivers.
+    For [r >= 0] the label is absorbed digit by digit, without building
+    the string ({!Splitmix64.of_label_nat}).
     Because the derivation depends only on [t]'s seed and on [r], the
     sample set of a replication campaign is the same whether the run
     indices are drawn sequentially or spread over domains — the

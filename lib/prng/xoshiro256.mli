@@ -17,6 +17,10 @@ val copy : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val next_top53 : t -> int
+(** The top 53 bits of the next {!next_int64} output, as a non-negative
+    [int] (an immediate: no int64 box on the way out). *)
+
 val split : t -> t
 (** [split t] returns a generator at [t]'s current position and jumps
     [t] itself by 2^128 steps, so repeated splits yield pairwise

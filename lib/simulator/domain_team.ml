@@ -2,8 +2,10 @@
    Parallel_exec's Monte-Carlo campaigns (see the mli for the
    determinism contract). Workers are spawned once per team, park on a
    condition variable between rounds and are woken by a generation
-   bump, so an adaptive campaign that runs several rounds pays
-   Domain.spawn once, not once per round. *)
+   bump, so the campaigns of a process pay Domain.spawn once, not once
+   per campaign or per round. A round may use only the first
+   [participants] of them; the others wake, see they are not needed
+   and park again. *)
 
 type t = {
   domains : int;  (* total participants, including the calling domain *)
@@ -15,10 +17,11 @@ type t = {
   mutable live : bool;
   mutable job : (participant:int -> int -> unit) option;
   mutable tasks : int;
+  mutable participants : int;  (* of the current round, caller included *)
   next : int Atomic.t;  (* task claim cursor for the current round *)
   cancelled : bool Atomic.t;  (* a task raised: stop claiming *)
   mutable failure : exn option;  (* first exception, re-raised by run *)
-  mutable finished : int;  (* workers done with the current round *)
+  mutable finished : int;  (* participating workers done with the round *)
 }
 
 let default_domains () = Stdlib.min 8 (Domain.recommended_domain_count ())
@@ -52,13 +55,16 @@ let rec worker_loop t ~participant last_gen =
   let gen = t.generation in
   let job = t.job in
   let tasks = t.tasks in
+  let takes_part = participant < t.participants in
   Mutex.unlock t.mutex;
   if live then begin
-    (match job with Some fn -> claim_loop t ~participant fn tasks | None -> ());
-    Mutex.lock t.mutex;
-    t.finished <- t.finished + 1;
-    if t.finished = Array.length t.workers then Condition.broadcast t.round_done;
-    Mutex.unlock t.mutex;
+    if takes_part then begin
+      (match job with Some fn -> claim_loop t ~participant fn tasks | None -> ());
+      Mutex.lock t.mutex;
+      t.finished <- t.finished + 1;
+      if t.finished = t.participants - 1 then Condition.broadcast t.round_done;
+      Mutex.unlock t.mutex
+    end;
     worker_loop t ~participant gen
   end
 
@@ -87,6 +93,7 @@ let create ?domains () =
       live = true;
       job = None;
       tasks = 0;
+      participants = domains;
       next = Atomic.make 0;
       cancelled = Atomic.make false;
       failure = None;
@@ -107,8 +114,11 @@ let create ?domains () =
      Printexc.raise_with_backtrace e bt);
   t
 
-let run t ~tasks fn =
+let run t ?participants ~tasks fn =
+  let participants = match participants with Some p -> p | None -> t.domains in
   if tasks < 0 then invalid_arg "Domain_team.run: negative task count";
+  if participants < 1 || participants > t.domains then
+    invalid_arg "Domain_team.run: participants must be in 1 .. size";
   if tasks > 0 then begin
     Mutex.lock t.mutex;
     if not t.live then begin
@@ -117,6 +127,7 @@ let run t ~tasks fn =
     end;
     t.job <- Some fn;
     t.tasks <- tasks;
+    t.participants <- participants;
     t.failure <- None;
     t.finished <- 0;
     Atomic.set t.next 0;
@@ -128,7 +139,7 @@ let run t ~tasks fn =
        round and the code path is purely sequential. *)
     claim_loop t ~participant:0 fn tasks;
     Mutex.lock t.mutex;
-    while t.finished < Array.length t.workers do
+    while t.finished < participants - 1 do
       Condition.wait t.round_done t.mutex
     done;
     t.job <- None;

@@ -1,11 +1,13 @@
 (** Persistent worker-domain team: the compute pool behind
     {!Parallel_exec}, its only client.
 
-    {!Parallel_exec} runs each Monte-Carlo campaign (every round of an
-    adaptive one) on one team, one task per batch. A team spawns its
-    workers once; between rounds they park on a condition variable and
-    are woken by a generation bump, so a round costs two mutex
-    handshakes rather than thread creation.
+    {!Parallel_exec} keeps one team for the whole process and runs each
+    Monte-Carlo campaign (every round of an adaptive one) on it, one
+    task per batch. A team spawns its workers once; between rounds they
+    park on a condition variable and are woken by a generation bump, so
+    a round costs two mutex handshakes rather than thread creation. A
+    round may enlist only the first [participants] members, so one wide
+    team serves narrower campaigns too.
 
     {1 Determinism contract}
 
@@ -39,18 +41,22 @@ val create : ?domains:int -> unit -> t
 val size : t -> int
 (** Total participants including the calling domain. *)
 
-val run : t -> tasks:int -> (participant:int -> int -> unit) -> unit
+val run : t -> ?participants:int -> tasks:int -> (participant:int -> int -> unit) -> unit
 (** [run t ~tasks fn] executes [fn ~participant i] once for every [i]
-    in [0..tasks-1], work-stealing across the team; the calling domain
+    in [0..tasks-1], work-stealing across the first [participants]
+    members of the team (default: all of them); the calling domain
     participates. [participant] names the domain running the task: 0
-    for the caller, [1..size t - 1] for the workers, fixed for the
-    team's lifetime — so per-domain state (telemetry probes, busy
-    time) can live in a slot per participant. Returns when every task
-    has run. If a task raises, remaining unclaimed tasks are abandoned
-    (already-claimed ones finish), and the first exception recorded is
-    re-raised here after the round drains — the team stays usable. Rounds do not overlap:
-    [run] is not reentrant and must always be called from the same
-    (owning) domain. Raises [Invalid_argument] after {!shutdown}. *)
+    for the caller, [1..participants - 1] for the workers, each
+    worker's index fixed for the team's lifetime — so per-domain state
+    (telemetry probes, busy time) can live in a slot per participant.
+    Returns when every task has run. If a task raises, remaining
+    unclaimed tasks are abandoned (already-claimed ones finish), and
+    the first exception recorded is re-raised here after the round
+    drains — the team stays usable. One round at a time: [run] is not
+    reentrant, and callers on different domains must serialise their
+    rounds (as {!Parallel_exec} does with a lock); the caller of a
+    round may be any domain. Raises [Invalid_argument] after
+    {!shutdown}, or if [participants] is outside [1 .. size t]. *)
 
 val shutdown : t -> unit
 (** Wake and join the workers. Idempotent. The team cannot be used

@@ -3,12 +3,25 @@
 
     A campaign of [runs] replications is partitioned into fixed-size
     batches on an absolute run-index grid. The batches are the tasks of
-    one {!Domain_team} round (an adaptive campaign runs all its rounds
-    on one team), claimed through the team's atomic cursor; run [r]
-    draws its randomness from {!Ckpt_prng.Rng.substream_run}[ root r]
-    where [root] is rebuilt from the shared [seed], and each batch is
-    reduced into its own {!Ckpt_stats.Welford} accumulator. Batch
-    accumulators are merged in batch-index order.
+    one {!Domain_team} round (an adaptive campaign runs one round per
+    doubling), claimed through the team's atomic cursor; run [r] draws
+    its randomness from {!Ckpt_prng.Rng.substream_run}[ root r] where
+    [root] is rebuilt from the shared [seed], and each batch is reduced
+    into its own {!Ckpt_stats.Welford} accumulator. Batch accumulators
+    are merged in batch-index order.
+
+    {b One team per process}: every campaign runs on the same
+    long-lived team, created by the first campaign on more than one
+    domain, replaced by a wider one when a campaign asks for more
+    domains than it has, and joined at exit. A campaign on [d] domains
+    enlists only [d] of its members. A team wider than
+    [Domain.recommended_domain_count ()] is joined when its campaign
+    ends, since parked domains beyond the core count slow every later
+    minor collection. A 1-domain campaign runs on its caller and spawns
+    nothing. Campaigns are serialised: one started while another runs
+    (inside a sample, or from another domain) runs on its caller with
+    one domain — the same bits, by the guarantee below — and never
+    waits, so nesting cannot deadlock.
 
     {b Determinism guarantee}: neither the sample set nor the reduction
     tree depends on the number of domains, so every function below
@@ -18,8 +31,10 @@
 
     {b Exception safety}: if any replication raises (e.g.
     {!Sim_run.Livelock}), the remaining workers stop claiming batches,
-    the team is shut down and every worker domain joined, and the first
-    exception recorded is re-raised — no domain is ever leaked.
+    the round drains, and the first exception recorded is re-raised.
+    The team's workers go back to parking, ready for the next campaign,
+    and the campaign lock is released, so a failed campaign neither
+    leaks a domain nor blocks later ones.
 
     The [sample] callback runs concurrently on several domains: it must
     not mutate shared state (closing over per-call state derived from

@@ -1,33 +1,35 @@
+(* All fields are floats, so the record is stored flat and [add] updates
+   it without boxing. The count is exact as a float below 2^53. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
-let create () = { n = 0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
+let create () = { n = 0.0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity }
 
 let add t x =
-  t.n <- t.n + 1;
+  t.n <- t.n +. 1.0;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
+  t.mean <- t.mean +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
-let count t = t.n
+let count t = int_of_float t.n
 
 let mean t =
-  if t.n = 0 then invalid_arg "Welford.mean: empty accumulator";
+  if Float.equal t.n 0.0 then invalid_arg "Welford.mean: empty accumulator";
   t.mean
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
 let stddev t = sqrt (variance t)
 
 let std_error t =
-  if t.n = 0 then invalid_arg "Welford.std_error: empty accumulator";
-  stddev t /. sqrt (float_of_int t.n)
+  if Float.equal t.n 0.0 then invalid_arg "Welford.std_error: empty accumulator";
+  stddev t /. sqrt t.n
 
 let min t = t.min_v
 let max t = t.max_v
@@ -44,15 +46,12 @@ let copy t = { n = t.n; mean = t.mean; m2 = t.m2; min_v = t.min_v; max_v = t.max
    input aliased would let a later [add] on the merge result mutate the
    argument behind the caller's back. *)
 let merge x y =
-  if x.n = 0 then copy y
-  else if y.n = 0 then copy x
+  if Float.equal x.n 0.0 then copy y
+  else if Float.equal y.n 0.0 then copy x
   else begin
-    let n = x.n + y.n in
+    let n = x.n +. y.n in
     let delta = y.mean -. x.mean in
-    let nf = float_of_int n in
-    let mean = x.mean +. (delta *. float_of_int y.n /. nf) in
-    let m2 =
-      x.m2 +. y.m2 +. (delta *. delta *. float_of_int x.n *. float_of_int y.n /. nf)
-    in
+    let mean = x.mean +. (delta *. y.n /. n) in
+    let m2 = x.m2 +. y.m2 +. (delta *. delta *. x.n *. y.n /. n) in
     { n; mean; m2; min_v = Float.min x.min_v y.min_v; max_v = Float.max x.max_v y.max_v }
   end

@@ -354,6 +354,37 @@ let test_sweep_and_budget_allocation () =
   check_allocation "solve_with_budget n=400 k=8" (fun () ->
       Chain_dp.solve_with_budget p ~checkpoints:8)
 
+(* A simulated run of an optimal plan pays a few boxed times per
+   segment (failure queries, the commit time) and nothing per task or
+   per event: substream, stream and run together stay under 16 minor
+   words per segment. *)
+let test_chain_run_allocation () =
+  let p = scaled_problem ~seed:8_803L 1_000 in
+  let segments = Schedule.to_sim_segments (Chain_dp.solve_smawk p).Chain_dp.schedule in
+  let root = Rng.create ~seed:8_804L in
+  let run r =
+    let stream =
+      Ckpt_failures.Failure_stream.poisson ~rate:p.Chain_problem.lambda
+        (Rng.substream_run root r)
+    in
+    Ckpt_sim.Sim_run.run_segments ~downtime:p.Chain_problem.downtime
+      ~next_failure:(Ckpt_failures.Failure_stream.next_after stream)
+      segments
+  in
+  ignore (Sys.opaque_identity (run 0));
+  let runs = 200 in
+  let words =
+    minor_words (fun () ->
+        for r = 1 to runs do
+          ignore (Sys.opaque_identity (run r))
+        done)
+  in
+  let per_segment = words /. float_of_int (runs * List.length segments) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per segment (%d segments), bound 16" per_segment
+       (List.length segments))
+    true (per_segment <= 16.0)
+
 let test_dp_extreme_rates () =
   (* Large lambda: checkpoint after every task is optimal.
      Tiny lambda with costly checkpoints: a single final checkpoint wins. *)
@@ -497,6 +528,8 @@ let suite =
     Alcotest.test_case "SMAWK allocates O(1) minor words" `Quick test_smawk_allocation;
     Alcotest.test_case "sweep and budget DP allocate O(1) minor words" `Quick
       test_sweep_and_budget_allocation;
+    Alcotest.test_case "simulated chain run allocates O(1) words per segment" `Quick
+      test_chain_run_allocation;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "budget-constrained DP" `Quick test_budget_dp;

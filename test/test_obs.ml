@@ -230,6 +230,28 @@ let test_span_exception_unwinding_across_domains () =
     tids;
   Span.reset ()
 
+(* The emission path only tests a length once the collector is as wide
+   as the registry: no ref, no box, no closure per call. *)
+let test_emission_allocates_nothing () =
+  let c = Metrics.counter "test.emission_counter"
+  and s = Metrics.sum "test.emission_sum"
+  and h = Metrics.histogram "test.emission_hist" ~buckets:[| 1.0; 2.0; 4.0 |] in
+  Metrics.with_collector (Metrics.create_collector ()) (fun () ->
+      Metrics.incr c;
+      Metrics.add s 1.5;
+      Metrics.observe h 3.0;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Metrics.incr c;
+        Metrics.add s 1.5;
+        Metrics.observe h 3.0
+      done;
+      let words = Gc.minor_words () -. before in
+      (* The probe's own boxed float is the only allocation allowed. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words for 30 000 emissions" words)
+        true (words <= 16.0))
+
 let test_gc_telemetry_probe () =
   Metrics.reset ();
   let minor = Ckpt_obs.Gc_telemetry.minor_probe () in
@@ -383,6 +405,8 @@ let suite =
     Alcotest.test_case "span exception unwinding across domains" `Quick
       test_span_exception_unwinding_across_domains;
     Alcotest.test_case "gc telemetry probe deltas" `Quick test_gc_telemetry_probe;
+    Alcotest.test_case "metric emission allocates nothing" `Quick
+      test_emission_allocates_nothing;
     Alcotest.test_case "DP transition counters agree" `Quick
       test_dp_transition_counters_agree;
     Alcotest.test_case "span nesting and exception unwinding" `Quick

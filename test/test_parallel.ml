@@ -302,6 +302,88 @@ let test_gc_minor_words_per_run () =
     [ 2; 4 ];
   Ckpt_obs.Metrics.reset ()
 
+(* --- The process's one team ------------------------------------------ *)
+
+let domain_id () = (Domain.self () :> int)
+
+let test_no_team_churn () =
+  (* Back-to-back campaigns reuse the parked workers: a team spawned
+     per campaign would show a fresh Domain id each time. A 2-domain
+     team outlives its campaign only within the machine's core count. *)
+  let seen = Hashtbl.create 8 in
+  for campaign = 1 to 20 do
+    let ids = Array.make 2048 (-1) in
+    ignore
+      (Parallel_exec.estimate ~domains:2 ~runs:2048 ~seed:(Int64.of_int campaign) (fun r _ ->
+           ids.(r) <- domain_id ();
+           1.0));
+    Array.iter (fun id -> Hashtbl.replace seen id ()) ids
+  done;
+  if Domain.recommended_domain_count () >= 2 then
+    Alcotest.(check bool)
+      (Printf.sprintf "%d distinct domains ran the samples of 20 campaigns" (Hashtbl.length seen))
+      true
+      (Hashtbl.length seen <= 2)
+
+let nested_sample r rng = float_of_int (r mod 5) +. Rng.float rng
+
+let same_welford name expected actual =
+  Alcotest.(check int) (name ^ ": count") (Welford.count expected) (Welford.count actual);
+  same (name ^ ": mean") (Welford.mean expected) (Welford.mean actual);
+  same (name ^ ": variance") (Welford.variance expected) (Welford.variance actual)
+
+let test_nested_campaign () =
+  (* A campaign started inside a sample finds the team busy and runs on
+     its caller: it returns, with the 1-domain bits. *)
+  let inner () = Parallel_exec.estimate ~domains:2 ~runs:600 ~seed:11L nested_sample in
+  let reference = Parallel_exec.estimate ~domains:1 ~runs:600 ~seed:11L nested_sample in
+  let means = Array.make 8 nan in
+  ignore
+    (Parallel_exec.estimate ~domains:2 ~runs:8 ~seed:1L (fun r _ ->
+         let acc = inner () in
+         means.(r) <- Welford.mean acc;
+         0.0));
+  Array.iteri
+    (fun r m -> same (Printf.sprintf "nested campaign in run %d" r) (Welford.mean reference) m)
+    means;
+  same_welford "campaign after the nested ones" reference (inner ())
+
+let test_campaign_from_second_domain () =
+  (* While one campaign holds the team, a campaign started on another
+     domain must not wait for it: the first campaign's run 0 spins
+     until the second has returned. *)
+  let started = Atomic.make false and released = Atomic.make false in
+  let released_in_time = Atomic.make false in
+  let t0 = Ckpt_obs.Clock.now_ns () in
+  let spin_until flag =
+    while (not (Atomic.get flag)) && Ckpt_obs.Clock.elapsed_s t0 < 30.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let second =
+    Domain.spawn (fun () ->
+        spin_until started;
+        let acc = Parallel_exec.estimate ~domains:2 ~runs:3000 ~seed:9L nested_sample in
+        Atomic.set released true;
+        acc)
+  in
+  let first =
+    Parallel_exec.estimate ~domains:2 ~runs:1024 ~seed:2L (fun r _ ->
+        if r = 0 then begin
+          Atomic.set started true;
+          spin_until released;
+          Atomic.set released_in_time (Atomic.get released)
+        end;
+        1.0)
+  in
+  let acc = Domain.join second in
+  Alcotest.(check bool) "second campaign returned while the first ran" true
+    (Atomic.get released_in_time);
+  Alcotest.(check int) "first campaign complete" 1024 (Welford.count first);
+  same_welford "campaign from a second domain"
+    (Parallel_exec.estimate ~domains:1 ~runs:3000 ~seed:9L nested_sample)
+    acc
+
 let test_invalid_arguments () =
   let sample _ _ = 0.0 in
   Alcotest.check_raises "zero runs" (Invalid_argument "Parallel_exec: runs must be positive")
@@ -350,5 +432,9 @@ let suite =
       test_domain_batch_gauges_sum;
     Alcotest.test_case "gc.minor_words per run is domain-count independent" `Quick
       test_gc_minor_words_per_run;
+    Alcotest.test_case "back-to-back campaigns reuse the team" `Quick test_no_team_churn;
+    Alcotest.test_case "campaign inside a sample returns" `Quick test_nested_campaign;
+    Alcotest.test_case "campaign from a second domain returns" `Quick
+      test_campaign_from_second_domain;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
   ]

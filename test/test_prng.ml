@@ -6,18 +6,21 @@ module Rng = Ckpt_prng.Rng
 
 let check_int64 = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
+let splitmix_words seed n =
+  let buf = Bytes.make (8 * n) '\000' in
+  Splitmix64.fill_words seed buf ~words:n;
+  List.init n (fun i -> Bytes.get_int64_ne buf (8 * i))
+
 let test_splitmix_deterministic () =
-  let a = Splitmix64.create 1234L and b = Splitmix64.create 1234L in
-  for _ = 1 to 100 do
-    Alcotest.check check_int64 "same seed, same stream" (Splitmix64.next a)
-      (Splitmix64.next b)
-  done
+  Alcotest.(check (list check_int64))
+    "same seed, same stream" (splitmix_words 1234L 100) (splitmix_words 1234L 100);
+  (* The reference SplitMix64 output for seed 0 (Steele, Lea & Flood). *)
+  Alcotest.check check_int64 "first output for seed 0" 0xE220A8397B1DCDAFL
+    (List.hd (splitmix_words 0L 1))
 
 let test_splitmix_seed_sensitivity () =
-  let a = Splitmix64.create 1L and b = Splitmix64.create 2L in
-  let outputs_a = List.init 10 (fun _ -> Splitmix64.next a) in
-  let outputs_b = List.init 10 (fun _ -> Splitmix64.next b) in
-  Alcotest.(check bool) "different seeds diverge" false (outputs_a = outputs_b)
+  Alcotest.(check bool) "different seeds diverge" false
+    (splitmix_words 1L 10 = splitmix_words 2L 10)
 
 let test_of_label () =
   Alcotest.check check_int64 "label derivation is deterministic"
@@ -151,6 +154,75 @@ let qcheck_float_range =
       let x = Rng.float_range rng lo hi in
       x >= lo && (x < hi || hi = lo))
 
+let first_draws rng = List.init 8 (fun _ -> Rng.int64 rng)
+
+(* The string-free substream_run must absorb exactly the bytes of the
+   "run-<r>" label: the digit-count boundaries are where a hand-rolled
+   decimal expansion goes wrong. *)
+let substream_run_edges =
+  let pow10 k = List.fold_left (fun acc _ -> acc * 10) 1 (List.init k Fun.id) in
+  [ 0; 9; 10; 99; 100; max_int; max_int - 1 ]
+  @ List.concat_map (fun k -> [ pow10 k - 1; pow10 k; pow10 k + 1 ]) (List.init 18 (fun k -> k + 1))
+
+let substream_run_matches_label seed r =
+  let root = Rng.create ~seed in
+  first_draws (Rng.substream_run root r)
+  = first_draws (Rng.substream root ("run-" ^ string_of_int r))
+
+let test_substream_run_edges () =
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "substream_run %d = substream \"run-%d\"" r r)
+        true
+        (substream_run_matches_label 20_260_806L r))
+    (substream_run_edges @ [ -1; -10; min_int ])
+
+let qcheck_substream_run_label =
+  QCheck.Test.make ~name:"substream_run r = substream (\"run-\" ^ string_of_int r)" ~count:500
+    QCheck.(pair int64 (oneof [ small_nat; int_range 0 max_int ]))
+    (fun (seed, r) -> substream_run_matches_label seed r)
+
+(* Golden draws pinned from the record-of-int64 generator this one
+   replaced: the storage of the state may change, the stream may not. *)
+let test_xoshiro_split_golden () =
+  let parent = Xoshiro256.create 11L in
+  ignore (Xoshiro256.next_int64 parent);
+  let child = Xoshiro256.split parent in
+  let child2 = Xoshiro256.split parent in
+  let draws g = List.init 4 (fun _ -> Xoshiro256.next_int64 g) in
+  Alcotest.(check (list check_int64))
+    "first split child"
+    [ 0x1654FE5F5C55A081L; 0x3EC96828463614ADL; 0x719B3CAECE494E38L; 0x15D312CE905FFE56L ]
+    (draws child);
+  Alcotest.(check (list check_int64))
+    "second split child"
+    [ 0x4E5B478C63354EEEL; 0x422D97856E69FE95L; 0x48563A38D90DDBA8L; 0x14E17A5A8F0E71D5L ]
+    (draws child2);
+  Alcotest.(check (list check_int64))
+    "parent after two jumps"
+    [ 0xD0567CC5824AC56CL; 0x7B5D0728628C258BL; 0x5BB4E02BE5C8FA6BL; 0x5B3E8383D6F3FD1CL ]
+    (draws parent);
+  let r = Rng.create ~seed:77L in
+  let s = Rng.split r in
+  Alcotest.check check_int64 "Rng.split child" 0x7075F9263CEA6413L (Rng.int64 s);
+  Alcotest.check check_int64 "Rng.split parent" 0x171D6345D57CA653L (Rng.int64 r)
+
+(* One fixed-seed Monte Carlo mean, bit for bit: a change to the stream
+   (substream derivation, generator, float conversion, exponential
+   draw) fails here even if it keeps the cross-domain identity. *)
+let test_estimate_golden_bits () =
+  let e =
+    Ckpt_sim.Monte_carlo.estimate_segments ~domains:1
+      ~model:(Ckpt_sim.Monte_carlo.Poisson_rate 0.01) ~downtime:1.0 ~runs:100_000
+      ~rng:(Rng.create ~seed:20_260_806L)
+      [ Ckpt_sim.Sim_run.segment ~work:100.0 ~checkpoint:5.0 ~recovery:5.0 ]
+  in
+  Alcotest.(check string) "mean bits" "0x1.8a8d636c13f1ep+7"
+    (Printf.sprintf "%h" e.Ckpt_sim.Monte_carlo.mean);
+  Alcotest.(check string) "stddev bits" "0x1.e66156c5375c5p+6"
+    (Printf.sprintf "%h" e.Ckpt_sim.Monte_carlo.stddev)
+
 let suite =
   [
     Alcotest.test_case "splitmix64 determinism" `Quick test_splitmix_deterministic;
@@ -169,4 +241,8 @@ let suite =
     Alcotest.test_case "substream label separation" `Quick test_substream_labels_distinct;
     QCheck_alcotest.to_alcotest qcheck_int_in_range;
     QCheck_alcotest.to_alcotest qcheck_float_range;
+    Alcotest.test_case "substream_run digit boundaries" `Quick test_substream_run_edges;
+    QCheck_alcotest.to_alcotest qcheck_substream_run_label;
+    Alcotest.test_case "xoshiro split golden draws" `Quick test_xoshiro_split_golden;
+    Alcotest.test_case "Monte Carlo mean golden bits" `Quick test_estimate_golden_bits;
   ]
